@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -74,33 +72,15 @@ def _energy_grid(args) -> np.ndarray:
     return np.linspace(args.emin, args.emax, args.grid)
 
 
-_SCAN_STATE: dict = {}
-
-
-def _scan_worker(E: float) -> tuple:
-    r = models.classify_energy(_SCAN_STATE["model"], E, _SCAN_STATE["theta"],
-                               K_max=_SCAN_STATE["kmax"])
-    return (r.E, r.theta_used, r.verdict, r.growth_exponent,
-            r.ci[0], r.ci[1], r.R_K, r.Phi_K)
-
-
-def _scan_init(model, theta, kmax):
-    _SCAN_STATE.update(model=model, theta=theta, kmax=kmax)
-
-
 def cmd_scan(args) -> int:
     model = _model(args)
-    grid = _energy_grid(args)
     cols = ["E", "theta", "verdict", "growth_exponent", "ci_lo", "ci_hi",
             "R_K", "Phi_K"]
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(grid) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_scan_init,
-                                 initargs=(model, args.theta, args.kmax)) as ex:
-            rows = list(ex.map(_scan_worker, grid, chunksize=8))
-    else:
-        _scan_init(model, args.theta, args.kmax)
-        rows = [_scan_worker(E) for E in grid]
+    rows = []
+    for E in _energy_grid(args):
+        r = models.classify_energy(model, E, args.theta, K_max=args.kmax)
+        rows.append((r.E, r.theta_used, r.verdict, r.growth_exponent,
+                     r.ci[0], r.ci[1], r.R_K, r.Phi_K))
     _emit(args.out, args.format, cols, rows)
     return 0
 
@@ -120,7 +100,7 @@ def cmd_zeros(args) -> int:
                 for n, E in enumerate(zs, start=1)]
     else:
         zs = models.l_function_zeros(chi, t_max=args.emax)
-        rows = [(n, E, models.z_prime_sign(n), numkit.l_theta(E, chi),
+        rows = [(n, E, models.z_prime_sign(n, chi), numkit.l_theta(E, chi),
                  models.theta_star_dirichlet(chi, n, E))
                 for n, E in enumerate(zs, start=1)]
     cols = ["n", "E_n", "Zprime_sign", "theta_at_zero", "vartheta_star"]
@@ -212,6 +192,12 @@ def cmd_perron(args) -> int:
     return 0
 
 
+_COMMANDS = (("scan", cmd_scan), ("zeros", cmd_zeros),
+             ("amp-trace", cmd_amp_trace), ("mirror-paths", cmd_mirror_paths),
+             ("xp-spectrum", cmd_xp_spectrum),
+             ("theta-of-zero", cmd_theta_of_zero), ("perron", cmd_perron))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mirrorspec",
                                 description=__doc__.splitlines()[0])
@@ -232,14 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--kmax", type=int, default=2000)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--jobs", type=int, default=None)
 
-    for name, fn in (("scan", cmd_scan), ("zeros", cmd_zeros),
-                     ("amp-trace", cmd_amp_trace),
-                     ("mirror-paths", cmd_mirror_paths),
-                     ("xp-spectrum", cmd_xp_spectrum),
-                     ("theta-of-zero", cmd_theta_of_zero),
-                     ("perron", cmd_perron)):
+    for name, fn in _COMMANDS:
         sp = sub.add_parser(name)
         common(sp)
         sp.set_defaults(func=fn)
@@ -251,10 +231,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend key=value pairs from --config as flags so explicit flags win."""
+    """Insert key=value pairs from --config as flags right after the
+    subcommand, wherever --config stands, so explicit flags win."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise DomainError("--config needs a file path")
     path = argv[i + 1]
     extra = []
     with open(path) as fh:
@@ -264,9 +247,9 @@ def _apply_config_file(argv: list[str]) -> list[str]:
                 continue
             key, _, value = line.partition("=")
             extra.append(f"--{key.strip()}={value.strip()}")
-    head = argv[:1]  # the subcommand
-    rest = argv[1:i] + argv[i + 2:]
-    return head + extra + rest
+    rest = argv[:i] + argv[i + 2:]
+    j = next((k for k, a in enumerate(rest) if a in dict(_COMMANDS)), len(rest) - 1)
+    return rest[:j + 1] + extra + rest[j + 1:]
 
 
 def main(argv: list[str] | None = None) -> int:

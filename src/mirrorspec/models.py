@@ -143,11 +143,17 @@ def central_sign(chi: DirichletCharacter) -> int:
     return 1 if z.real >= 0 else -1
 
 
-def z_prime_sign(n: int) -> int:
-    """Sign of Z'(E_n) at the n-th zero, from continuity and Z(0) < 0."""
+def z_prime_sign(n: int, chi: DirichletCharacter | None = None) -> int:
+    """Sign of Z'(E_n) at the n-th zero of zeta, or of Re Z_chi' for L(s, chi).
+
+    Z starts at the center with sign b (-1 for zeta, central_sign(chi) for
+    L) and every simple zero flips it, so Z' at the n-th zero has sign
+    b (-1)^n; the mirrored zero -n carries the opposite sign.
+    """
     if n == 0:
         raise DomainError("zero labels are nonzero integers")
-    return int((-1) ** (n + (1 + int(math.copysign(1, n))) // 2))
+    b = -1 if chi is None else central_sign(chi)
+    return b * (-1) ** abs(n) * (1 if n > 0 else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +327,9 @@ def classify_energy(model: ModelSpec, E: float, vartheta: float,
         mask = k >= min(10.0, k[-1])
         kw, yw = k[mask], y[mask]
         x, floor = np.log(kw), 0.2
+    if len(kw) < 3:
+        raise DomainError(f"growth fit needs at least 3 sites, K_max = {K_max} "
+                          f"leaves {len(kw)}")
     slope, half = _weighted_slope(x, yw, 1.0 / kw)
     ci = (slope - half, slope + half)
     window = np.exp(yw - yw.max())

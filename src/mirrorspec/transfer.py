@@ -124,11 +124,6 @@ class AmplitudeTrace:
     def indices(self) -> np.ndarray:
         return np.arange(self.n0, self.n0 + len(self.a_minus))
 
-    def vector(self, n: int) -> AmplitudeVector:
-        i = n - self.n0
-        return AmplitudeVector(complex(self.a_minus[i]), complex(self.a_plus[i]),
-                               float(self.log_scale[i]))
-
     @property
     def norm2(self) -> np.ndarray:
         return (np.abs(self.a_minus) ** 2 + np.abs(self.a_plus) ** 2) * np.exp(2 * self.log_scale)
@@ -145,40 +140,54 @@ class AmplitudeTrace:
 _RESCALE = 1e150
 
 
-def propagate_exact(model, E: float, vartheta: float, K: int) -> AmplitudeTrace:
-    """Outward recursion A_n = T_n^{-1} A_{n-1} from the boundary seed.
-
-    T^{-1}(E, varrho, ell) = T(E, -varrho, ell), so each step reuses the same
-    matrix form with the coupling negated. Entries are renormalized once any
-    modulus passes 1e150, accumulating the factor in log_scale.
-    """
+def _step_tables(model, E: float, K: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of T(E, sign * varrho_n, ell_n) for n = boundary_index + 1 .. K:
+    diagonal (1 + |varrho|^2)/(1 - |varrho|^2) and upper off-diagonal
+    2 sign varrho ell^{-2iE}/(1 - |varrho|^2); the lower one is its conjugate."""
     n0 = model.boundary_index
-    log_ells = model.log_ell_table(K)
-    rhos = model.rho_table(K)
-    if np.any(np.abs(rhos[n0 + 1:]) >= 1.0):
+    rhos = model.rho_table(K)[n0 + 1:]
+    # libm hypot and pow: the rounding of abs(rho) ** 2 on scalars (x * x
+    # differs in the last bit, and with it every propagated amplitude)
+    a2 = np.float_power(np.hypot(rhos.real, rhos.imag), 2.0)
+    if np.any(a2 >= 1.0):
         raise SingularCouplingError("all |varrho_n| must be < 1")
-    count = K - n0 + 1
-    am = np.empty(count, dtype=np.complex128)
-    ap = np.empty(count, dtype=np.complex128)
-    ls = np.empty(count, dtype=np.float64)
-    x, y = 1.0 + 0j, cmath.exp(1j * vartheta)
+    d = 1.0 - a2
+    phases = np.exp(-2j * E * model.log_ell_table(K)[n0 + 1:])
+    return (1.0 + a2) / d, sign * 2.0 * rhos * phases / d
+
+
+def _propagate(diag: np.ndarray, off: np.ndarray, x: complex, y: complex):
+    """Apply (x, y) -> (d x + o y, conj(o) x + d y) site by site; returns the
+    lists of x, y and log scale from the seed on.
+
+    Once either modulus passes 1e150 both are divided by it and its log is
+    added to the running scale.
+    """
     scale = 0.0
-    am[0], ap[0], ls[0] = x, y, scale
-    phases = np.exp(-2j * E * log_ells[n0 + 1:])
-    for i in range(1, count):
-        rho = complex(rhos[n0 + i])
-        a2 = abs(rho) ** 2
-        d = 1.0 - a2
-        diag = (1.0 + a2) / d
-        off = -2.0 * rho * phases[i - 1] / d
-        x, y = diag * x + off * y, off.conjugate() * x + diag * y
+    xs, ys, scales = [x], [y], [scale]
+    for d, o in zip(diag.tolist(), off.tolist()):
+        x, y = d * x + o * y, o.conjugate() * x + d * y
         m = max(abs(x), abs(y))
         if m > _RESCALE:
             x /= m
             y /= m
             scale += math.log(m)
-        am[i], ap[i], ls[i] = x, y, scale
-    return AmplitudeTrace(n0, am, ap, ls)
+        xs.append(x)
+        ys.append(y)
+        scales.append(scale)
+    return xs, ys, scales
+
+
+def propagate_exact(model, E: float, vartheta: float, K: int) -> AmplitudeTrace:
+    """Outward recursion A_n = T_n^{-1} A_{n-1} from the boundary seed.
+
+    T^{-1}(E, varrho, ell) = T(E, -varrho, ell), so each step uses the
+    transfer matrix with the coupling negated.
+    """
+    diag, off = _step_tables(model, E, K, -1.0)
+    am, ap, ls = _propagate(diag, off, 1.0 + 0j, cmath.exp(1j * vartheta))
+    return AmplitudeTrace(model.boundary_index, np.array(am, dtype=np.complex128),
+                          np.array(ap, dtype=np.complex128), np.array(ls))
 
 
 def decaying_direction(model, E: float, K: int = 400) -> np.ndarray:
@@ -188,23 +197,9 @@ def decaying_direction(model, E: float, K: int = 400) -> np.ndarray:
     site K back to the boundary amplifies precisely the outward-contracting
     direction, so any generic seed converges onto it.
     """
-    n0 = model.boundary_index
-    log_ells = model.log_ell_table(K)
-    rhos = model.rho_table(K)
-    x, y = 1.0 + 0j, 0.7 - 0.3j
-    for n in range(K, n0, -1):
-        rho = complex(rhos[n])
-        a2 = abs(rho) ** 2
-        d = 1.0 - a2
-        phase = cmath.exp(-2j * E * log_ells[n])
-        off = 2.0 * rho * phase / d
-        diag = (1.0 + a2) / d
-        x, y = diag * x + off * y, off.conjugate() * x + diag * y
-        m = max(abs(x), abs(y))
-        if m > 1e100:
-            x /= m
-            y /= m
-    v = np.array([x, y], dtype=np.complex128)
+    diag, off = _step_tables(model, E, K, 1.0)
+    xs, ys, _ = _propagate(diag[::-1], off[::-1], 1.0 + 0j, 0.7 - 0.3j)
+    v = np.array([xs[-1], ys[-1]], dtype=np.complex128)
     return v / np.linalg.norm(v)
 
 
@@ -253,47 +248,30 @@ def semiclassical_sums(model, E: float, K: int, amplitude_scale: float = 1.0,
     R = np.abs(partial)
     raw = -np.angle(partial)
     good = R > 1e-300
-    if good.any():
-        # unwrap only over well-defined phases, then carry through the gaps
-        raw[~good] = np.nan
-        idx = np.where(good)[0]
-        raw[idx] = np.unwrap(raw[idx])
-        for i in range(len(raw)):
-            if not good[i]:
-                raw[i] = raw[i - 1] if i > 0 else 0.0
-    else:
-        raw[:] = 0.0
-    return SemiclassicalSums(start, R, raw)
-
-
-def bch_amplitude(R: float, Phi: float, vartheta: float) -> AmplitudeVector:
-    """One-kick amplitude exp(-R (cos Phi sigma_x + sin Phi sigma_y)) applied
-    to the boundary seed; squared norm is
-    e^{2R}(1 - cos(Phi - vartheta)) + e^{-2R}(1 + cos(Phi - vartheta)).
-    Large R switches to a factored-out log scale instead of overflowing.
-    """
-    ei_t = cmath.exp(1j * vartheta)
-    if R <= 300.0:
-        ch, sh = math.cosh(R), math.sinh(R)
-        return AmplitudeVector(ch - sh * cmath.exp(-1j * Phi) * ei_t,
-                               ei_t * ch - sh * cmath.exp(1j * Phi))
-    # cosh/sinh ~ e^R/2: pull the scale out
-    half_em2r = 0.5 * math.exp(-2 * R)
-    a_m = (0.5 + half_em2r) - (0.5 - half_em2r) * cmath.exp(-1j * Phi) * ei_t
-    a_p = ei_t * (0.5 + half_em2r) - (0.5 - half_em2r) * cmath.exp(1j * Phi)
-    return AmplitudeVector(a_m, a_p, log_scale=R)
+    # unwrap only over well-defined phases, then carry the last one through
+    # the gaps (0 before the first)
+    idx = np.flatnonzero(good)
+    raw[idx] = np.unwrap(raw[idx])
+    last = np.maximum.accumulate(np.where(good, np.arange(len(R)), -1))
+    return SemiclassicalSums(start, R, np.where(last >= 0, raw[last], 0.0))
 
 
 def bch_trace(sums: SemiclassicalSums, vartheta: float) -> AmplitudeTrace:
-    """One-kick amplitudes along the whole running sum, as a trace."""
-    n = len(sums)
-    am = np.empty(n, dtype=np.complex128)
-    ap = np.empty(n, dtype=np.complex128)
-    ls = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        v = bch_amplitude(float(sums.R[i]), float(sums.Phi[i]), vartheta)
-        am[i], ap[i], ls[i] = v.a_minus, v.a_plus, v.log_scale
-    return AmplitudeTrace(sums.n0, am, ap, ls)
+    """One-kick amplitudes exp(-R_k (cos Phi_k sigma_x + sin Phi_k sigma_y))
+    applied to the boundary seed along the whole running sum; squared norm
+    e^{2R}(1 - cos(Phi - vartheta)) + e^{-2R}(1 + cos(Phi - vartheta)).
+    Where R > 300, cosh and sinh ~ e^R/2 and e^R moves into log_scale.
+    """
+    R = sums.R
+    small = R <= 300.0
+    Rs = np.where(small, R, 0.0)
+    half_em2r = 0.5 * np.exp(-2 * R)
+    ch = np.where(small, np.cosh(Rs), 0.5 + half_em2r)
+    sh = np.where(small, np.sinh(Rs), 0.5 - half_em2r)
+    ei_t = cmath.exp(1j * vartheta)
+    am = ch - sh * np.exp(-1j * sums.Phi) * ei_t
+    ap = ei_t * ch - sh * np.exp(1j * sums.Phi)
+    return AmplitudeTrace(sums.n0, am, ap, np.where(small, 0.0, R))
 
 
 @dataclass(frozen=True)
@@ -411,15 +389,3 @@ def harmonic_bands(epsilon: float) -> BandStructure:
     g = math.log((1 + epsilon) / (1 - epsilon))
     delta = math.asin(abs(math.tanh(g))) / math.pi
     return BandStructure(epsilon=epsilon, g=g, delta=delta)
-
-
-def harmonic_theta_energy(g: float, vartheta: float) -> float:
-    """Discrete energy (mod 2 pi) of the geometric array at boundary phase
-    vartheta: tan(E/2) = sin(vartheta) / (cos(vartheta) + coth g)."""
-    if g == 0:
-        raise DomainError("coupling g must be nonzero")
-    coth = 1.0 / math.tanh(g)
-    if 1.0 + math.cos(vartheta) * coth <= 0:
-        raise DomainError("no discrete state: 1 + cos(vartheta) coth(g) <= 0")
-    E = 2.0 * math.atan(math.sin(vartheta) / (math.cos(vartheta) + coth))
-    return E % (2 * math.pi)

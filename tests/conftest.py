@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from mirrorspec import models
 from mirrorspec.arith import characters_mod
+
+# reproducible property tests: a fixed example sequence and no example database
+settings.register_profile("mirrorspec", derandomize=True, database=None, deadline=None)
+settings.load_profile("mirrorspec")
 
 
 @pytest.fixture(scope="session")

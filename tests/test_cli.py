@@ -40,20 +40,38 @@ def test_exit_code_config_error(capsys):
 
 def test_empty_scan_range_header_only(capsys):
     code, out, _ = run(["scan", "--emin", "5", "--emax", "4", "--grid", "8",
-                        "--model", "harmonic", "--jobs", "1"], capsys)
+                        "--model", "harmonic"], capsys)
     assert code == 0
     assert out.strip() == "E,theta,verdict,growth_exponent,ci_lo,ci_hi,R_K,Phi_K"
 
 
-def test_scan_deterministic_and_serial_parallel_equal(tmp_path, capsys):
+def test_scan_deterministic(tmp_path, capsys):
     base = ["scan", "--model", "harmonic", "--epsilon", "0.3", "--emin", "2",
             "--emax", "4", "--grid", "6", "--kmax", "200"]
-    paths = [tmp_path / n for n in ("a.csv", "b.csv", "c.csv")]
-    for p, jobs in zip(paths, ("1", "1", "2")):
-        code = cli.main(base + ["--jobs", jobs, "--out", str(p)])
-        assert code == 0
-    a, b, c = (p.read_bytes() for p in paths)
-    assert a == b == c
+    paths = [tmp_path / n for n in ("a.csv", "b.csv")]
+    for p in paths:
+        assert cli.main(base + ["--out", str(p)]) == 0
+    a, b = (p.read_bytes() for p in paths)
+    assert a == b
+
+
+def test_scan_rejects_short_fit_window(capsys):
+    # K = 5 leaves one site in the growth fit: a one-line error, not a NaN row
+    for model, fmt in (("riemann", "csv"), ("harmonic", "json")):
+        code, out, err = run(["scan", "--model", model, "--kmax", "5", "--grid", "2",
+                              "--emin", "14", "--emax", "15", "--format", fmt], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_no_command_accepts_jobs(capsys):
+    for name, _ in cli._COMMANDS:
+        required = ["--n", "4"] if name == "mirror-paths" else []
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, "--jobs", "2"] + required)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_zeros_first_row(capsys):
@@ -120,15 +138,14 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model=harmonic\nepsilon=0.3\nemin=2\nemax=2\ngrid=1\nkmax=150\n")
     out1 = tmp_path / "o1.csv"
-    code = cli.main(["scan", "--config", str(cfg), "--jobs", "1",
-                     "--out", str(out1)])
+    code = cli.main(["scan", "--config", str(cfg), "--out", str(out1)])
     assert code == 0
     rows = out1.read_text().strip().splitlines()
     assert len(rows) == 2 and rows[1].startswith("2,")
     # explicit flag overrides the file value
     out2 = tmp_path / "o2.csv"
     code = cli.main(["scan", "--config", str(cfg), "--emin", "3", "--emax", "3",
-                     "--jobs", "1", "--out", str(out2)])
+                     "--out", str(out2)])
     assert code == 0
     assert out2.read_text().strip().splitlines()[1].startswith("3,")
 
@@ -138,3 +155,23 @@ def test_float_formatting_roundtrip(capsys):
     val = out.strip().splitlines()[1].split(",")[1]
     assert float(val) == float(format(float(val), ".17g"))
     assert abs(float(val) - 14.1347251417347) < 1e-10
+
+
+def test_config_before_and_after_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "theta.cfg"
+    cfg.write_text("# first two zeros\ngrid=2\n")
+    code, before, _ = run(["--config", str(cfg), "theta-of-zero"], capsys)
+    assert code == 0
+    code, after, _ = run(["theta-of-zero", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert before == after and len(before.strip().splitlines()) == 3
+    # an explicit flag still wins over the file when the file comes first
+    code, out, _ = run(["--config", str(cfg), "theta-of-zero", "--grid", "1"], capsys)
+    assert code == 0 and len(out.strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("argv", [["theta-of-zero", "--config"], ["--config"]])
+def test_config_without_value(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == "configuration error: --config needs a file path\n"

@@ -75,6 +75,18 @@ def test_z_prime_sign_alternates(zeros10):
     assert models.z_prime_sign(-1) == -models.z_prime_sign(1)
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
+def test_z_prime_sign_dirichlet_matches_finite_difference(q):
+    # Re Z_chi starts at sign central_sign(chi), not zeta's -1
+    from mirrorspec.arith import characters_mod
+    h = 1e-5
+    for chi in (c for c in characters_mod(q) if c.primitive):
+        z = lambda t: numkit.l_phase_split(t, chi).z.real
+        for n, E in enumerate(models.l_function_zeros(chi, count=5), start=1):
+            fd = 1 if z(E + h) - z(E - h) > 0 else -1
+            assert models.z_prime_sign(n, chi) == fd, (q, chi.index, n)
+
+
 def test_theta_star_wrap_and_decay_phase(E1):
     th = models.theta_star_riemann(1, E1)
     assert -math.pi < th <= math.pi
@@ -187,6 +199,14 @@ def test_classify_synthetic_off_critical_probe():
     r = models.classify_energy(_Probe(), 0.0, math.pi, K_max=2000)
     assert r.verdict == "NonNormalizable"
     assert r.ci[0] > 0
+
+
+def test_classify_rejects_short_fit_window():
+    for kind, K in (("riemann", 5), ("harmonic", 19)):
+        with pytest.raises(DomainError, match="at least 3 sites"):
+            models.classify_energy(models.ModelSpec(kind), 14.0, math.pi, K_max=K)
+    assert models.classify_energy(models.ModelSpec("harmonic"), 14.0, math.pi,
+                                  K_max=20).verdict
 
 
 def test_weighted_slope_recovers_known_line():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mirrorspec import models, transfer
 from mirrorspec.errors import SingularCouplingError
@@ -109,16 +111,105 @@ def test_kicked_step_matches_transfer_product():
     assert np.max(np.abs(out.as_array() - want)) < 1e-12
 
 
+def bch_amplitude(R: float, Phi: float, vartheta: float) -> transfer.AmplitudeVector:
+    """Scalar oracle for bch_trace: exp(-R (cos Phi sigma_x + sin Phi sigma_y))
+    applied to the boundary seed, with e^R factored into log_scale above R = 300."""
+    ei_t = cmath.exp(1j * vartheta)
+    if R <= 300.0:
+        ch, sh = math.cosh(R), math.sinh(R)
+        return transfer.AmplitudeVector(ch - sh * cmath.exp(-1j * Phi) * ei_t,
+                                        ei_t * ch - sh * cmath.exp(1j * Phi))
+    half_em2r = 0.5 * math.exp(-2 * R)
+    a_m = (0.5 + half_em2r) - (0.5 - half_em2r) * cmath.exp(-1j * Phi) * ei_t
+    a_p = ei_t * (0.5 + half_em2r) - (0.5 - half_em2r) * cmath.exp(1j * Phi)
+    return transfer.AmplitudeVector(a_m, a_p, log_scale=R)
+
+
 def test_bch_amplitude_norm_closed_forms():
-    th = 0.9
-    assert abs(transfer.bch_amplitude(0.0, 0.0, th).norm2 - 2.0) < 1e-14
-    R = 1.7
-    dec = transfer.bch_amplitude(R, th, th)
-    assert abs(dec.norm2 - 2 * math.exp(-2 * R)) < 1e-12
-    gro = transfer.bch_amplitude(R, th + math.pi, th)
-    assert abs(gro.norm2 - 2 * math.exp(2 * R)) < 1e-9
-    big = transfer.bch_amplitude(400.0, th + math.pi, th)
-    assert abs(big.log_norm2 - (math.log(2) + 800.0)) < 1e-6
+    # norm e^{2R}(1 - cos(Phi - th)) + e^{-2R}(1 + cos(Phi - th)), from the
+    # oracle and from bch_trace over the same (R, Phi) pairs
+    th, R = 0.9, 1.7
+    Rs = np.array([0.0, R, R, 400.0])
+    Phis = np.array([0.0, th, th + math.pi, th + math.pi])
+    trace = transfer.bch_trace(transfer.SemiclassicalSums(0, Rs, Phis), th)
+    oracle = [bch_amplitude(r, p, th) for r, p in zip(Rs, Phis)]
+    for norm2 in (np.exp(trace.log_norm2[:3]), [v.norm2 for v in oracle[:3]]):
+        assert abs(norm2[0] - 2.0) < 1e-14
+        assert abs(norm2[1] - 2 * math.exp(-2 * R)) < 1e-12
+        assert abs(norm2[2] - 2 * math.exp(2 * R)) < 1e-9
+    for log_norm2 in (trace.log_norm2[3], oracle[3].log_norm2):
+        assert abs(log_norm2 - (math.log(2) + 800.0)) < 1e-6
+
+
+_phase = st.floats(-10.0, 10.0)
+_R = st.one_of(st.floats(0.0, 300.0), st.floats(300.0, 700.0, exclude_min=True))
+
+
+@given(st.lists(st.tuples(_R, _phase), min_size=1, max_size=20), _phase)
+def test_bch_trace_matches_scalar_oracle(pairs, th):
+    Rs, Phis = (np.array(c) for c in zip(*pairs))
+    trace = transfer.bch_trace(transfer.SemiclassicalSums(1, Rs, Phis), th)
+    for i, (R, Phi) in enumerate(pairs):
+        want = bch_amplitude(R, Phi, th)
+        # components are differences of terms of size e^R (scaled out above 300)
+        tol = 1e-12 * (math.exp(R) if R <= 300.0 else 1.0)
+        assert abs(trace.a_minus[i] - want.a_minus) <= tol
+        assert abs(trace.a_plus[i] - want.a_plus) <= tol
+        assert trace.log_scale[i] == want.log_scale
+
+
+_coupling = st.builds(cmath.rect, st.floats(0.0, 0.99), st.floats(-math.pi, math.pi))
+
+
+class _Chain:
+    """Duck-typed model at radii sqrt(n): no coupling on the boundary site 1,
+    the given couplings on sites 2, 3, ..."""
+
+    boundary_index = 1
+
+    def __init__(self, rhos):
+        self.rhos = np.array([0j, 0j] + list(rhos))
+
+    def log_ell_table(self, kmax):
+        return 0.5 * np.log(np.maximum(np.arange(kmax + 1), 1.0))
+
+    def rho_table(self, kmax):
+        return self.rhos[:kmax + 1]
+
+
+def test_semiclassical_phase_carried_through_zero_sums():
+    # at E = 0 the running sum is 0, 0.2i, 0 (exactly), 0.1, 0.1 + 0.1i
+    sums = transfer.semiclassical_sums(_Chain([0.2j, -0.2j, 0.1, 0.1j]), 0.0, 5)
+    assert np.allclose(sums.R, [0.0, 0.2, 0.0, 0.1, 0.1 * math.sqrt(2)], rtol=1e-15)
+    assert np.allclose(sums.Phi, [0.0, -math.pi / 2, -math.pi / 2, 0.0, -math.pi / 4],
+                       rtol=1e-15, atol=0.0)
+
+
+@given(st.lists(_coupling, min_size=1, max_size=24), st.floats(-50.0, 50.0), _phase)
+def test_propagate_exact_conserves_charge(rhos, E, th):
+    trace = transfer.propagate_exact(_Chain(rhos), E, th, len(rhos) + 1)
+    q = trace.charge
+    assert np.all(np.abs(q - q[0]) <= 1e-8 * trace.norm2)
+
+
+@given(st.lists(_coupling, min_size=1, max_size=24), st.floats(-50.0, 50.0), _phase)
+@example([0.95 + 0j] * 150, 0.0, 0.3)  # grows past the 1e150 rescale threshold
+def test_propagate_exact_matches_matrix_product(rhos, E, th):
+    trace = transfer.propagate_exact(_Chain(rhos), E, th, len(rhos) + 1)
+    want = transfer.boundary_vector(th).as_array()
+    bound = np.linalg.norm(want)
+    for i, rho in enumerate(rhos, start=1):
+        want = transfer.t_matrix(E, -rho, math.sqrt(i + 1)) @ want
+        bound *= (1 + abs(rho)) / (1 - abs(rho))  # spectral norm of T
+        got = np.array([trace.a_minus[i], trace.a_plus[i]]) * math.exp(trace.log_scale[i])
+        assert np.linalg.norm((got - want) / bound) <= 1e-12
+
+
+@given(_coupling, st.floats(-50.0, 50.0), st.floats(-5.0, 5.0))
+def test_t_matrix_unit_determinant(varrho, E, log_ell):
+    T = transfer.t_matrix(E, varrho, math.exp(log_ell))
+    # cancellation in det scales with the squared entries, up to ~1e4 at |varrho| = 0.99
+    assert abs(np.linalg.det(T) - 1.0) <= 1e-14 * np.sum(np.abs(T) ** 2)
 
 
 def test_semiclassical_sums_match_direct():
