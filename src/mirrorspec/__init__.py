@@ -12,13 +12,13 @@ Submodules:
 """
 
 from . import arith, boundary_spectrum, mirrors, models, numkit, transfer
-from .errors import (AccuracyLossWarning, BracketWarning, DomainError,
+from .errors import (AccuracyLossWarning, BracketError, DomainError,
                      InvalidPathError, PoleError, SingularCouplingError)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "arith", "boundary_spectrum", "mirrors", "models", "numkit", "transfer",
-    "AccuracyLossWarning", "BracketWarning", "DomainError",
+    "AccuracyLossWarning", "BracketError", "DomainError",
     "InvalidPathError", "PoleError", "SingularCouplingError", "__version__",
 ]

@@ -67,26 +67,12 @@ def mertens(limit: int) -> int:
     return int(moebius_sieve(limit).values[1:].sum())
 
 
-def euler_phi(q: int) -> int:
-    if q < 1:
-        raise DomainError("modulus must be positive")
-    result = q
-    n = q
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
-def _factorize(q: int) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorisation of n >= 1 by trial division: (p, e) pairs with the
+    primes ascending."""
+    if n < 1:
+        raise DomainError(f"factorize needs n >= 1, got {n}")
     out = []
-    n = q
     p = 2
     while p * p <= n:
         if n % p == 0:
@@ -101,10 +87,14 @@ def _factorize(q: int) -> list[tuple[int, int]]:
     return out
 
 
+def euler_phi(q: int) -> int:
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(q))
+
+
 def _primitive_root(pe: int, p: int) -> int:
     """Smallest primitive root modulo p^e for odd prime p."""
     phi = pe - pe // p
-    factors = [f for f, _ in _factorize(phi)]
+    factors = [f for f, _ in factorize(phi)]
     for g in range(2, pe):
         if math.gcd(g, pe) != 1:
             continue
@@ -156,7 +146,7 @@ class DirichletCharacter:
 def _unit_group_generators(q: int) -> list[tuple[int, int]]:
     """(generator, order) pairs for (Z/q)^*, CRT-lifted to modulus q."""
     gens: list[tuple[int, int]] = []
-    for p, e in _factorize(q):
+    for p, e in factorize(q):
         pe = p**e
         rest = q // pe
         # CRT lift: congruent to g mod p^e, to 1 mod q/p^e

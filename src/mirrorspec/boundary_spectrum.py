@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from . import numkit
-from .errors import BracketWarning, DomainError
+from .errors import BracketError, DomainError
 
 
 @dataclass(frozen=True)
@@ -44,11 +42,15 @@ class RootList:
 
 
 def eigen_residual(problem: BoundaryProblem, E: float) -> float:
-    """G(E) = Im(e^{i vartheta/2} K_{1/2 - iE}(m l1)); zeros are eigenvalues."""
+    """G(E) = Im(e^{i vartheta/2} K_{1/2 - iE}(m l1)); zeros are eigenvalues.
+
+    Raises BracketError where |K| is below the smallest normal double: there
+    K underflows toward 0 and the sign of G, which the root scan brackets,
+    is lost."""
     k = numkit.bessel_k_complex_order(0.5 - 1j * E, problem.m_ell1)
-    if abs(k) < 1e-300:
-        warnings.warn(f"|K| vanishes at E={E}; residual sign unreliable",
-                      BracketWarning, stacklevel=2)
+    if abs(k) < sys.float_info.min:
+        raise BracketError(f"|K_(1/2-iE)(m l1)| = {abs(k):.1e} underflows at E={E}, "
+                           f"m l1={problem.m_ell1}")
     return (cmath.exp(0.5j * problem.vartheta) * k).imag
 
 
@@ -60,38 +62,15 @@ def counting_estimate(problem: BoundaryProblem, E: float) -> float:
     return (E / math.pi) * (math.log(2 * E / problem.m_ell1) - 1) - problem.vartheta / (2 * math.pi)
 
 
-def solve_spectrum(problem: BoundaryProblem, E_max: float, grid: float | None = None) -> RootList:
-    """All roots of G on [0, E_max]: grid sign-change brackets refined by
-    Brent bisection to 1e-10. The default grid is a quarter of the asymptotic
-    mean spacing at E_max."""
+def solve_spectrum(problem: BoundaryProblem, E_max: float) -> RootList:
+    """All roots of G on [0, E_max], bracketed by numkit.scan_roots on a grid
+    of a quarter of the asymptotic mean spacing at E_max."""
     if E_max <= 0:
         raise DomainError("E_max must be positive")
-    mean_spacing = math.pi / max(math.log(2 * E_max / problem.m_ell1), 1.0)
-    if grid is None:
-        grid = 0.25 * mean_spacing
-    if grid > 0.5 * mean_spacing:
-        warnings.warn(f"grid {grid} coarser than half the mean spacing {mean_spacing}",
-                      BracketWarning, stacklevel=2)
+    step = 0.25 * math.pi / max(math.log(2 * E_max / problem.m_ell1), 1.0)
     f = lambda E: eigen_residual(problem, E)
-    roots: list[float] = []
-    residuals: list[float] = []
-    E = 0.0
-    fE = f(E)
-    if fE == 0.0:
-        roots.append(0.0)
-        residuals.append(0.0)
-    while E < E_max:
-        E2 = min(E + grid, E_max)
-        fE2 = f(E2)
-        if fE * fE2 < 0:
-            r = float(brentq(f, E, E2, xtol=1e-10))
-            roots.append(r)
-            residuals.append(abs(f(r)))
-        elif fE2 == 0.0 and E2 < E_max:
-            roots.append(E2)
-            residuals.append(0.0)
-        E, fE = E2, fE2
-    return RootList(roots=tuple(roots), residuals=tuple(residuals))
+    roots = numkit.scan_roots(f, 0.0, E_max, lambda E: step)
+    return RootList(roots=tuple(roots), residuals=tuple(abs(f(r)) for r in roots))
 
 
 def average_zero_count(t: float) -> float:

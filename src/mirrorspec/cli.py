@@ -18,7 +18,7 @@ import numpy as np
 
 from . import boundary_spectrum, mirrors, models, numkit, transfer
 from .arith import characters_mod
-from .errors import (BracketWarning, DomainError, InvalidPathError, PoleError,
+from .errors import (BracketError, DomainError, InvalidPathError, PoleError,
                      SingularCouplingError)
 
 
@@ -30,15 +30,21 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
+def _json_float(v) -> float | None:
+    """JSON has no NaN or Infinity: non-finite floats become null."""
+    v = float(v)
+    return v if math.isfinite(v) else None
+
+
 def _emit(path: str | None, fmt: str, columns: list[str], rows: list[tuple]) -> None:
     if fmt == "csv":
         lines = [",".join(columns)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
-        payload = [{c: (v if isinstance(v, (str, int)) else float(v))
+        payload = [{c: (v if isinstance(v, (str, int)) else _json_float(v))
                     for c, v in zip(columns, row)} for row in rows]
-        text = json.dumps(payload, indent=1) + "\n"
+        text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -93,7 +99,7 @@ def cmd_zeros(args) -> int:
         zs = models.riemann_zeros(t_max=args.emax)
         expected = numkit.smoothed_zero_count(args.emax)
         if len(zs) < expected - 2:
-            raise BracketWarning(
+            raise BracketError(
                 f"found {len(zs)} zeros below {args.emax}, expected ~{expected:.1f}")
         rows = [(n, E, models.z_prime_sign(n), numkit.riemann_siegel_theta(E),
                  models.theta_star_riemann(n, E))
@@ -231,14 +237,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Insert key=value pairs from --config as flags right after the
-    subcommand, wherever --config stands, so explicit flags win."""
-    if "--config" not in argv:
+    """Insert key=value pairs from --config FILE (or --config=FILE) as flags
+    right after the subcommand, wherever --config stands, so explicit flags
+    win."""
+    i = next((k for k, a in enumerate(argv)
+              if a == "--config" or a.startswith("--config=")), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
+    if argv[i] == "--config":
+        path = argv[i + 1] if i + 1 < len(argv) else ""
+        rest = argv[:i] + argv[i + 2:]
+    else:
+        path = argv[i].partition("=")[2]
+        rest = argv[:i] + argv[i + 1:]
+    if not path:
         raise DomainError("--config needs a file path")
-    path = argv[i + 1]
     extra = []
     with open(path) as fh:
         for line in fh:
@@ -247,7 +260,6 @@ def _apply_config_file(argv: list[str]) -> list[str]:
                 continue
             key, _, value = line.partition("=")
             extra.append(f"--{key.strip()}={value.strip()}")
-    rest = argv[:i] + argv[i + 2:]
     j = next((k for k, a in enumerate(rest) if a in dict(_COMMANDS)), len(rest) - 1)
     return rest[:j + 1] + extra + rest[j + 1:]
 
@@ -262,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
             FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (BracketWarning, PoleError, OverflowError) as exc:
+    except (BracketError, PoleError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

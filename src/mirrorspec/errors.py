@@ -21,5 +21,5 @@ class AccuracyLossWarning(UserWarning):
     """Result is returned but cancellation may have degraded accuracy."""
 
 
-class BracketWarning(UserWarning):
-    """A root-scan grid may have been too coarse to isolate every root."""
+class BracketError(ArithmeticError):
+    """A root scan cannot be trusted: roots are missing or a sign is lost."""

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import factorize
 from .errors import DomainError, InvalidPathError
 
 
@@ -94,17 +95,6 @@ def concatenate(p1: MirrorPath, p2: MirrorPath) -> MirrorPath:
     return MirrorPath(p1.bounces + (1,) + p2.bounces)
 
 
-def _largest_prime_factor(n: int) -> int:
-    big = 1
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            big = p
-            n //= p
-        p += 1
-    return max(big, n) if n > 1 else big
-
-
 def _search(n: int, max_depth: int, max_mirror: int, limit: int | None) -> list[MirrorPath]:
     found: list[MirrorPath] = []
     if n <= max_mirror:
@@ -113,7 +103,7 @@ def _search(n: int, max_depth: int, max_mirror: int, limit: int | None) -> list[
         return found
 
     cap = min(max_mirror, n - 1)  # fact (2): interior bounces stay below n
-    if cap < 2 or _largest_prime_factor(n) > cap:
+    if cap < 2 or factorize(n)[-1][0] > cap:
         return found
     target = Fraction(n)
 
@@ -183,14 +173,3 @@ def classify_integer(n: int, max_depth: int = 4) -> str:
         raise DomainError("classification starts at n = 2")
     paths = _search(n, max_depth, 4 * n, limit=2)
     return "prime" if len(paths) == 1 else "composite"
-
-
-def is_prime_trial(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True

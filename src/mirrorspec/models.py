@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import numkit, transfer
 from .arith import DirichletCharacter, moebius_sieve
-from .errors import BracketWarning, DomainError
+from .errors import BracketError, DomainError
 
 KINDS = ("harmonic", "harmonic-damped", "polylog", "riemann", "dirichlet")
 
@@ -159,22 +158,6 @@ def z_prime_sign(n: int, chi: DirichletCharacter | None = None) -> int:
 # ---------------------------------------------------------------------------
 # zero tables (self-computed by sign-change bisection of the real section)
 
-def _scan_zeros(f, t_start: float, t_max: float, step_fn, xtol: float = 1e-10):
-    roots = []
-    t = t_start
-    ft = f(t)
-    while t < t_max:
-        h = step_fn(t)
-        t2 = min(t + h, t_max)
-        ft2 = f(t2)
-        if ft == 0.0:
-            roots.append(t)
-        elif ft * ft2 < 0:
-            roots.append(float(brentq(f, t, t2, xtol=xtol)))
-        t, ft = t2, ft2
-    return roots
-
-
 def riemann_zeros(count: int | None = None, t_max: float | None = None) -> list[float]:
     """Positive ordinates of the critical-line zeros, by Hardy-Z bisection."""
     if count is None and t_max is None:
@@ -187,10 +170,10 @@ def riemann_zeros(count: int | None = None, t_max: float | None = None) -> list[
         t_max = t
     def step(t):
         return max(0.05, 0.25 * 2 * math.pi / math.log(max(t, 10.0) / (2 * math.pi) + 2.0))
-    roots = _scan_zeros(numkit.hardy_z, 2.0, t_max, step)
+    roots = numkit.scan_roots(numkit.hardy_z, 2.0, t_max, step)
     if count is not None:
         if len(roots) < count:
-            raise BracketWarning(f"found {len(roots)} zeros, wanted {count}")
+            raise BracketError(f"found {len(roots)} zeros, wanted {count}")
         roots = roots[:count]
     return roots
 
@@ -204,10 +187,10 @@ def l_function_zeros(chi: DirichletCharacter, count: int | None = None,
     if t_max is None:
         t_max = 10.0 + 4.0 * count  # generous: low-lying L-zero spacing is O(2)
     f = lambda t: numkit.l_phase_split(t, chi).z.real
-    roots = _scan_zeros(f, 0.05, t_max, lambda t: 0.2)
+    roots = numkit.scan_roots(f, 0.05, t_max, lambda t: 0.2)
     if count is not None:
         if len(roots) < count:
-            raise BracketWarning(f"found {len(roots)} zeros, wanted {count}")
+            raise BracketError(f"found {len(roots)} zeros, wanted {count}")
         roots = roots[:count]
     return roots
 

@@ -1,11 +1,10 @@
 """Special-function kernel: zeta and Hurwitz zeta off the critical line,
 Riemann-Siegel phase splitting, modified Bessel functions of complex order,
-polylogarithms, and Dirichlet L-functions with their completed phases.
+polylogarithms, Dirichlet L-functions with their completed phases, and the
+sign-change root scan that the zero tables and the boundary spectrum share.
 
-Everything here is double precision except bessel_k_complex_order, whose
-integral representation suffers catastrophic cancellation of order
-exp(-pi |Im nu| / 2) against an integrand of order exp(-x); that one routine
-runs its quadrature in arbitrary precision scaled with |Im nu|.
+Everything here is double precision; K of complex order comes from
+mpmath.besselk, rounded to a complex double.
 """
 
 from __future__ import annotations
@@ -17,10 +16,13 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import digamma, loggamma
 
 from .arith import DirichletCharacter, gauss_sum
 from .errors import AccuracyLossWarning, DomainError, PoleError
+
+ROOT_XTOL = 1e-10
 
 _B2J = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510]
 _B2J_FACT = [b / math.factorial(2 * (j + 1)) for j, b in enumerate(_B2J)]
@@ -125,34 +127,29 @@ def hardy_z_deriv(t: float, h: float = 1e-5) -> float:
 
 
 def bessel_k_complex_order(nu: complex, x: float) -> complex:
-    """K_nu(x) for complex order nu and real x > 0.
-
-    Uses the integral K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du,
-    truncated where the integrand drops 40 e-folds below the answer scale.
-    The result is ~exp(-pi |Im nu| / 2) while the integrand peaks at
-    ~exp(-x), so the quadrature runs at 25 + 0.3 |Im nu| extra decimal
-    digits to survive the cancellation.
-    """
+    """K_nu(x) for complex order nu and real x > 0, from mpmath.besselk."""
     if x <= 0:
         raise DomainError(f"bessel_k_complex_order needs x > 0, got {x}")
-    nu = complex(nu)
-    E = abs(nu.imag)
-    u_max = 1.0
-    while x * math.cosh(u_max) - E * u_max < 40.0:
-        u_max += 0.5
-    extra = int(0.69 * E) + 25
-    npts = max(2, int(E * u_max / 3) + 2)
-    with mpmath.workdps(extra):
-        mnu = mpmath.mpc(nu)
-        mx = mpmath.mpf(x)
-        f = lambda u: mpmath.e ** (-mx * mpmath.cosh(u)) * mpmath.cosh(mnu * u)
-        pts = [u_max * i / npts for i in range(npts + 1)]
-        val = mpmath.quad(f, pts)
-        result = complex(val)
-    if E > 60.0:
-        warnings.warn(f"K_nu cancellation margin thin at Im nu = {nu.imag}",
-                      AccuracyLossWarning, stacklevel=2)
-    return result
+    return complex(mpmath.besselk(nu, x))
+
+
+def scan_roots(f, t_start: float, t_max: float, step_fn) -> list[float]:
+    """Zeros of a real f on [t_start, t_max]: sign changes over steps of
+    step_fn(t), each refined by Brent's method to ROOT_XTOL. An exact zero at
+    a grid point counts as a root; t_max itself is never one."""
+    roots = []
+    t = t_start
+    ft = f(t)
+    while t < t_max:
+        t2 = min(t + step_fn(t), t_max)
+        ft2 = f(t2)
+        if ft == 0.0:
+            roots.append(t)
+        # not ft * ft2 < 0: the product underflows to 0 once |f| ~ 1e-162
+        elif min(ft, ft2) < 0 < max(ft, ft2):
+            roots.append(float(brentq(f, t, t2, xtol=ROOT_XTOL)))
+        t, ft = t2, ft2
+    return roots
 
 
 def polylog(s: complex, z: complex) -> complex:

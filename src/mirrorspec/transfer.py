@@ -130,7 +130,8 @@ class AmplitudeTrace:
 
     @property
     def log_norm2(self) -> np.ndarray:
-        return np.log(np.abs(self.a_minus) ** 2 + np.abs(self.a_plus) ** 2) + 2 * self.log_scale
+        # 2 log ||A|| stays finite where the squares would underflow
+        return 2 * np.log(np.hypot(np.abs(self.a_minus), np.abs(self.a_plus))) + 2 * self.log_scale
 
     @property
     def charge(self) -> np.ndarray:
@@ -260,17 +261,23 @@ def bch_trace(sums: SemiclassicalSums, vartheta: float) -> AmplitudeTrace:
     """One-kick amplitudes exp(-R_k (cos Phi_k sigma_x + sin Phi_k sigma_y))
     applied to the boundary seed along the whole running sum; squared norm
     e^{2R}(1 - cos(Phi - vartheta)) + e^{-2R}(1 + cos(Phi - vartheta)).
-    Where R > 300, cosh and sinh ~ e^R/2 and e^R moves into log_scale.
+
+    With delta = vartheta - Phi, s = sin(delta/2) and c = cos(delta/2),
+    cosh R - sinh R e^{i delta} = e^{-R} + 2 sinh R s (s - ic): both real
+    parts are positive, so a tuned phase (s ~ 0) loses nothing to
+    cancellation. Where R > 300, e^R moves into log_scale, leaving e^{-2R}
+    and (1 - e^{-2R})/2 in place of e^{-R} and sinh R.
     """
     R = sums.R
     small = R <= 300.0
     Rs = np.where(small, R, 0.0)
-    half_em2r = 0.5 * np.exp(-2 * R)
-    ch = np.where(small, np.cosh(Rs), 0.5 + half_em2r)
-    sh = np.where(small, np.sinh(Rs), 0.5 - half_em2r)
-    ei_t = cmath.exp(1j * vartheta)
-    am = ch - sh * np.exp(-1j * sums.Phi) * ei_t
-    ap = ei_t * ch - sh * np.exp(1j * sums.Phi)
+    em2r = np.exp(-2 * R)
+    decay = np.where(small, np.exp(-Rs), em2r)
+    sh = np.where(small, np.sinh(Rs), 0.5 - 0.5 * em2r)
+    half = 0.5 * (vartheta - sums.Phi)
+    s, c = np.sin(half), np.cos(half)
+    am = decay + 2 * sh * s * (s - 1j * c)
+    ap = cmath.exp(1j * vartheta) * (decay + 2 * sh * s * (s + 1j * c))
     return AmplitudeTrace(sums.n0, am, ap, np.where(small, 0.0, R))
 
 

@@ -22,3 +22,20 @@ def E1(zeros10):
 @pytest.fixture(scope="session")
 def chi4():
     return next(c for c in characters_mod(4) if not c.is_principal)
+
+
+def _is_prime_trial(n: int) -> bool:
+    if n < 2:
+        return False
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return False
+        p += 1
+    return True
+
+
+@pytest.fixture(scope="session")
+def is_prime():
+    """Trial-division primality: the oracle for the mirror-path sieve."""
+    return _is_prime_trial

@@ -228,15 +228,15 @@ def test_criterion_8_perron_oracle(E1, zeros10):
                    + "/".join(f"{r:.2f}" for r in resid_ratios) + f", {dt:.1f}s")
 
 
-def test_criterion_9_mirror_path_sieve():
+def test_criterion_9_mirror_path_sieve(is_prime):
     t0 = time.monotonic()
     wrong = sum(
         mirrors.classify_integer(n, max_depth=4)
-        != ("prime" if mirrors.is_prime_trial(n) else "composite")
+        != ("prime" if is_prime(n) else "composite")
         for n in range(2, 10_001))
     four_paths = len(mirrors.enumerate_paths(4, max_depth=4))
     prime_bad = sum(len(mirrors.enumerate_paths(p, max_depth=4)) != 1
-                    for p in range(2, 200) if mirrors.is_prime_trial(p))
+                    for p in range(2, 200) if is_prime(p))
     dt = time.monotonic() - t0
     ok = wrong == 0 and four_paths >= 2 and prime_bad == 0 and dt < 60
     _report(9, ok, f"2..10^4 mismatches {wrong}, |paths(4)| {four_paths}, "

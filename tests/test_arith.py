@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mirrorspec import arith
 from mirrorspec.errors import DomainError
@@ -41,6 +43,21 @@ def test_mertens_value():
 
 def test_euler_phi():
     assert [arith.euler_phi(q) for q in (1, 2, 4, 5, 12)] == [1, 1, 2, 4, 4]
+
+
+@given(st.integers(1, 10_000))
+def test_factorize_and_euler_phi(is_prime, n):
+    factors = arith.factorize(n)
+    primes = [p for p, _ in factors]
+    assert primes == sorted(set(primes)) and all(map(is_prime, primes))
+    assert all(e >= 1 for _, e in factors)
+    assert math.prod(p**e for p, e in factors) == n
+    assert arith.euler_phi(n) == sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+def test_factorize_rejects_nonpositive():
+    with pytest.raises(DomainError):
+        arith.factorize(0)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 12])

@@ -2,10 +2,18 @@
 
 import math
 
+import mpmath
 import pytest
 
 from mirrorspec import boundary_spectrum as bs
-from mirrorspec.errors import DomainError
+from mirrorspec.errors import BracketError, DomainError
+
+
+def _mp_residual(problem, E):
+    """G(E) from mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        k = mpmath.besselk(mpmath.mpc(0.5, -E), problem.m_ell1)
+        return float((mpmath.expj(mpmath.mpf(problem.vartheta) / 2) * k).imag)
 
 
 def test_residual_symmetry_theta_pi():
@@ -35,6 +43,24 @@ def test_solve_spectrum_window():
     for r in roots.roots:
         assert bs.eigen_residual(p, r - 1e-4) * bs.eigen_residual(p, r + 1e-4) < 0
     assert roots.count_below(10.0) == 1
+
+
+def test_spectrum_to_80_bracketed_by_mpmath():
+    p = bs.BoundaryProblem()
+    roots = bs.solve_spectrum(p, 80.0)
+    assert len(roots.roots) == 57
+    for r, res in zip(roots.roots, roots.residuals):
+        lo, hi = _mp_residual(p, r - 1e-7), _mp_residual(p, r + 1e-7)
+        assert lo * hi < 0, r
+        assert res <= min(abs(lo), abs(hi)), r
+
+
+def test_residual_raises_where_k_underflows():
+    # |K_{1/2}(710)| = 2e-310 is subnormal: the sign of G is no longer resolved
+    with pytest.raises(BracketError):
+        bs.eigen_residual(bs.BoundaryProblem(m_ell1=710.0), 0.0)
+    # |K_{1/2}(700)| = 4.7e-306 is still a normal double at full precision
+    assert bs.eigen_residual(bs.BoundaryProblem(m_ell1=700.0), 0.0) != 0.0
 
 
 def test_count_matches_estimate():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -165,13 +166,54 @@ def test_config_before_and_after_subcommand(tmp_path, capsys):
     code, after, _ = run(["theta-of-zero", "--config", str(cfg)], capsys)
     assert code == 0
     assert before == after and len(before.strip().splitlines()) == 3
+    for argv in (["--config=" + str(cfg), "theta-of-zero"],
+                 ["theta-of-zero", "--config=" + str(cfg)]):
+        assert run(argv, capsys) == (0, before, "")
     # an explicit flag still wins over the file when the file comes first
     code, out, _ = run(["--config", str(cfg), "theta-of-zero", "--grid", "1"], capsys)
     assert code == 0 and len(out.strip().splitlines()) == 2
 
 
-@pytest.mark.parametrize("argv", [["theta-of-zero", "--config"], ["--config"]])
+@pytest.mark.parametrize("argv", [["theta-of-zero", "--config"], ["--config"],
+                                  ["theta-of-zero", "--config="]])
 def test_config_without_value(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err == "configuration error: --config needs a file path\n"
+
+
+def test_xp_spectrum_k_underflow_exits_3(capsys):
+    code, out, err = run(["xp-spectrum", "--m-ell1", "710"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical error:") and err.count("\n") == 1
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_json_is_strict_where_norms_overflow(capsys):
+    # e^{2R} overflows past R ~ 355: those A2 values are written as null
+    code, out, _ = run(["amp-trace", "--model", "harmonic", "--epsilon", "0.3",
+                        "--emin", "0", "--theta", "3.14159", "--kmax", "3000",
+                        "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out, parse_constant=_reject_constant)
+    assert len(rows) == 3001
+    assert rows[-1]["A2_exact"] is None and rows[-1]["A2_bch"] is None
+    assert all(isinstance(r["R_k"], float) for r in rows)
+
+
+def test_bch_norm_exact_at_tuned_phase(capsys):
+    # E = 0, vartheta = 0 on the harmonic array: Phi_k = 0, so the one-kick
+    # norm is exactly 2 e^{-2R_k}, through R = 300.3 and its log-scale branch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(["amp-trace", "--model", "harmonic", "--epsilon", "0.3",
+                            "--emin", "0", "--theta", "0", "--kmax", "1000"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 1001 and float(rows[-1][3]) > 300.0
+    for k, _, a2_bch, R, _ in rows:
+        want = 2 * math.exp(-2 * float(R))
+        assert abs(float(a2_bch) - want) <= 1e-12 * want, k

@@ -55,15 +55,15 @@ def test_every_path_reproduces_target():
             assert mirrors.proper_time(p).ratio == Fraction(n, 1)
 
 
-def test_primes_have_single_ray():
+def test_primes_have_single_ray(is_prime):
     for n in range(2, 200):
-        if mirrors.is_prime_trial(n):
+        if is_prime(n):
             assert len(mirrors.enumerate_paths(n, max_depth=4)) == 1, n
 
 
-def test_classification_matches_trial_division_block():
+def test_classification_matches_trial_division_block(is_prime):
     for n in range(2, 2000):
-        want = "prime" if mirrors.is_prime_trial(n) else "composite"
+        want = "prime" if is_prime(n) else "composite"
         assert mirrors.classify_integer(n, max_depth=4) == want, n
 
 

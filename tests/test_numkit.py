@@ -74,16 +74,38 @@ def test_smoothed_zero_count_near_100():
     assert abs(numkit.smoothed_zero_count(t) - want) < 1e-3
 
 
+def _bessel_k_quad(nu: complex, x: float) -> complex:
+    """Slow oracle: K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du, cut where
+    the integrand is 40 e-folds below the answer. The result is
+    ~exp(-pi |Im nu| / 2) while the integrand peaks at ~exp(-x), so the
+    quadrature runs with 25 + 0.69 |Im nu| digits to survive the cancellation."""
+    E = abs(nu.imag)
+    u_max = 1.0
+    while x * math.cosh(u_max) - E * u_max < 40.0:
+        u_max += 0.5
+    npts = max(2, int(E * u_max / 3) + 2)
+    with mpmath.workdps(int(0.69 * E) + 25):
+        mnu, mx = mpmath.mpc(nu), mpmath.mpf(x)
+        f = lambda u: mpmath.e ** (-mx * mpmath.cosh(u)) * mpmath.cosh(mnu * u)
+        return complex(mpmath.quad(f, [u_max * i / npts for i in range(npts + 1)]))
+
+
 @pytest.mark.parametrize("nu,x", [
     (0.5 + 0j, 2 * math.pi),
+    (0.5 - 1.0j, 2 * math.pi),
     (0.5 - 10.0j, 2 * math.pi),
     (0.5 - 30.0j, 2 * math.pi),
     (1.5 + 4.0j, 1.0),
 ])
 def test_bessel_k_complex_order_against_mpmath(nu, x):
-    got = numkit.bessel_k_complex_order(nu, x)
-    want = _mp(mpmath.besselk(nu, x))
-    assert abs(got - want) <= 1e-10 * max(abs(want), 1e-30)
+    # the oracle is the independent mpmath.quad integral, not mpmath.besselk
+    want = _bessel_k_quad(nu, x)
+    assert abs(numkit.bessel_k_complex_order(nu, x) - want) <= 1e-13 * abs(want)
+
+
+def test_bessel_k_rejects_nonpositive_argument():
+    with pytest.raises(DomainError):
+        numkit.bessel_k_complex_order(0.5 - 1j, 0.0)
 
 
 def test_bessel_k_half_order_closed_form():
@@ -153,3 +175,19 @@ def test_zeta_deriv_rejects_higher_order():
 def test_hardy_z_deriv_sign_at_first_zero(E1):
     assert numkit.hardy_z_deriv(E1) > 0
     assert np.sign(numkit.hardy_z(E1 - 0.01)) < 0 < np.sign(numkit.hardy_z(E1 + 0.01))
+
+
+def test_scan_roots_grid_zeros_and_brackets():
+    # grid 0, 0.5, ..., 3: exact zeros at 0 and 1 are roots, the zero at
+    # t_max = 3 is not, and the one inside (1.5, 2] is refined by brentq
+    f = lambda t: t * (t - 1.0) * (t - 1.75) * (t - 3.0)
+    roots = numkit.scan_roots(f, 0.0, 3.0, lambda t: 0.5)
+    assert roots[:2] == [0.0, 1.0] and len(roots) == 3
+    assert abs(roots[2] - 1.75) <= numkit.ROOT_XTOL
+    # a step that grows with t still brackets every zero once
+    roots = numkit.scan_roots(math.sin, 1.0, 20.0, lambda t: 0.1 + 0.02 * t)
+    assert len(roots) == 6
+    assert max(abs(r - math.pi * n) for n, r in enumerate(roots, start=1)) < 1e-9
+    # a sign change between values of 1e-170, whose product underflows to 0
+    roots = numkit.scan_roots(lambda t: 1e-170 * math.sin(t), 1.0, 20.0, lambda t: 0.1)
+    assert len(roots) == 6
