@@ -1,4 +1,5 @@
-"""Integer-sequence machinery: Moebius sieve, Euler totient, Dirichlet characters, Gauss sums.
+"""Integer-sequence machinery: Moebius sieve, trial-division factorisation,
+Euler totient, Dirichlet characters with their conductors, Gauss sums.
 
 Characters are represented by explicit value tables over residues (O(1) lookups
 inside Moebius-weighted sums), built from the cyclic structure of the unit
@@ -60,11 +61,6 @@ def moebius_sieve(limit: int) -> MoebiusTable:
                 break
             mu[ip] = -mi
     return MoebiusTable(limit=limit, values=mu)
-
-
-def mertens(limit: int) -> int:
-    """Partial sum of mu(n) for n <= limit."""
-    return int(moebius_sieve(limit).values[1:].sum())
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -137,10 +133,6 @@ class DirichletCharacter:
     @property
     def is_principal(self) -> bool:
         return self.conductor == 1
-
-    @property
-    def is_real(self) -> bool:
-        return bool(np.all(np.abs(self.table.imag) < 1e-12))
 
 
 def _unit_group_generators(q: int) -> list[tuple[int, int]]:
@@ -251,11 +243,3 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     for n in range(1, q + 1):
         total += chi(n) * cmath.exp(2j * math.pi * n / q)
     return total
-
-
-def primitive_characters(q_max: int) -> list[DirichletCharacter]:
-    """Every primitive character with modulus 2 <= q <= q_max, plus q = 1."""
-    out = [characters_mod(1)[0]]
-    for q in range(2, q_max + 1):
-        out.extend(c for c in characters_mod(q) if c.primitive)
-    return out

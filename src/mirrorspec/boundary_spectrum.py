@@ -1,6 +1,6 @@
 """Massive-fermion boundary spectrum: the Bessel eigenvalue condition
-e^{i vartheta} K_{1/2 - iE}(m l1) = K_{1/2 + iE}(m l1), its root table, the
-counting asymptotics, and the smoothed critical-line zero counter it tracks.
+e^{i vartheta} K_{1/2 - iE}(m l1) = K_{1/2 + iE}(m l1), its root table and
+the counting asymptotics of its eigenvalues.
 
 Since K_{1/2 + iE}(x) is the conjugate of K_{1/2 - iE}(x) for real x, the
 complex condition collapses to the real root function
@@ -37,9 +37,6 @@ class RootList:
     roots: tuple[float, ...]
     residuals: tuple[float, ...]
 
-    def count_below(self, E: float) -> int:
-        return sum(1 for r in self.roots if r <= E)
-
 
 def eigen_residual(problem: BoundaryProblem, E: float) -> float:
     """G(E) = Im(e^{i vartheta/2} K_{1/2 - iE}(m l1)); zeros are eigenvalues.
@@ -71,10 +68,3 @@ def solve_spectrum(problem: BoundaryProblem, E_max: float) -> RootList:
     f = lambda E: eigen_residual(problem, E)
     roots = numkit.scan_roots(f, 0.0, E_max, lambda E: step)
     return RootList(roots=tuple(roots), residuals=tuple(abs(f(r)) for r in roots))
-
-
-def average_zero_count(t: float) -> float:
-    """Smoothed count of critical-line zeros below t: theta(t)/pi + 1."""
-    if t <= 0:
-        raise DomainError("count window needs t > 0")
-    return numkit.smoothed_zero_count(t)

@@ -69,8 +69,6 @@ def _model(args) -> models.ModelSpec:
 
 
 def _energy_grid(args) -> np.ndarray:
-    if args.grid < 0:
-        raise DomainError("grid size must be >= 0")
     if args.grid == 0 or args.emax < args.emin:
         return np.empty(0)
     if args.grid == 1:
@@ -210,18 +208,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value file; explicit flags override it")
     sub = p.add_subparsers(dest="command", required=True)
 
+    # argparse rejects what these raise with exit 2 and a usage line
+    def finite(text: str) -> float:
+        v = float(text)
+        if not math.isfinite(v):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        return v
+
+    def at_least(lo: int):
+        def integer(text: str) -> int:
+            v = int(text)
+            if v < lo:
+                raise argparse.ArgumentTypeError(f"must be at least {lo}, got {v}")
+            return v
+        return integer
+
     def common(sp):
         sp.add_argument("--model", choices=models.KINDS, default="riemann")
-        sp.add_argument("--epsilon", type=float, default=0.25)
-        sp.add_argument("--sigma", type=float, default=0.5)
-        sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
+        sp.add_argument("--epsilon", type=finite, default=0.25)
+        sp.add_argument("--sigma", type=finite, default=0.5)
+        sp.add_argument("--lambda", dest="lam", type=finite, default=0.0)
         sp.add_argument("--modulus", type=int, default=None)
         sp.add_argument("--char-index", type=int, default=1)
-        sp.add_argument("--theta", type=float, default=math.pi)
-        sp.add_argument("--emin", type=float, default=0.0)
-        sp.add_argument("--emax", type=float, default=30.0)
-        sp.add_argument("--grid", type=int, default=100)
-        sp.add_argument("--kmax", type=int, default=2000)
+        sp.add_argument("--theta", type=finite, default=math.pi)
+        sp.add_argument("--emin", type=finite, default=0.0)
+        sp.add_argument("--emax", type=finite, default=30.0)
+        sp.add_argument("--grid", type=at_least(0), default=100)
+        sp.add_argument("--kmax", type=at_least(1), default=2000)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -231,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=fn)
     sub.choices["mirror-paths"].add_argument("--n", type=int, required=True)
     sub.choices["mirror-paths"].add_argument("--max-depth", type=int, default=4)
-    sub.choices["xp-spectrum"].add_argument("--m-ell1", type=float,
+    sub.choices["xp-spectrum"].add_argument("--m-ell1", type=finite,
                                             default=2 * math.pi)
     return p
 

@@ -1,5 +1,5 @@
-"""Accelerated-mirror ray geometry: bounce paths, observer proper times, and
-the path-count primality sieve.
+"""Accelerated-mirror ray geometry: bounce paths on the sqrt-spaced array,
+their exact observer proper times, and the path-count primality sieve.
 
 A path of depth k bounces on interior mirrors n_1, ..., n_{2k-1} subject to
 the zig-zag ordering 1 < n_1 > n_2 < n_3 > ... > 1 (even positions may touch
@@ -43,10 +43,6 @@ class MirrorPath:
             if i % 2 == 1 and (b[i - 1] <= n or b[i + 1] <= n):
                 raise InvalidPathError(f"zig-zag ordering violated at position {i}: {b}")
 
-    @property
-    def depth(self) -> int:
-        return (len(self.bounces) + 1) // 2
-
 
 @dataclass(frozen=True)
 class ProperTime:
@@ -59,40 +55,12 @@ class ProperTime:
     def tau(self) -> float:
         return math.log(self.numerator / self.denominator)
 
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
 
 def proper_time(path: MirrorPath) -> ProperTime:
     """Exact tau on the sqrt-spaced array: log(prod odd-pos / prod even-pos)."""
     num = math.prod(path.bounces[0::2])
     den = math.prod(path.bounces[1::2])
     return ProperTime(numerator=num, denominator=den)
-
-
-def harmonic_proper_time(bounces) -> ProperTime:
-    """tau on the exponentially spaced array: an exact integer sum.
-
-    There the boundary carries label 0, so even positions admit 0 and the
-    single-bounce path on mirror 0 is the degenerate tau = 0 ray; validation
-    therefore shifts the sqrt-array floors down by one.
-    """
-    b = tuple(bounces.bounces if isinstance(bounces, MirrorPath) else bounces)
-    if len(b) % 2 == 0 or not b:
-        raise InvalidPathError(f"need an odd number of bounces, got {len(b)}")
-    for i, n in enumerate(b):
-        if n < 0:
-            raise InvalidPathError(f"negative mirror label at position {i}: {b}")
-        if i % 2 == 1 and (b[i - 1] <= n or b[i + 1] <= n):
-            raise InvalidPathError(f"zig-zag ordering violated at position {i}: {b}")
-    tau = sum(b[0::2]) - sum(b[1::2])
-    return ProperTime(numerator=tau, denominator=1)
-
-
-def concatenate(p1: MirrorPath, p2: MirrorPath) -> MirrorPath:
-    """Join two paths through the boundary mirror; tau is additive."""
-    return MirrorPath(p1.bounces + (1,) + p2.bounces)
 
 
 def _search(n: int, max_depth: int, max_mirror: int, limit: int | None) -> list[MirrorPath]:

@@ -1,7 +1,6 @@
-"""Mirror-array model families and their spectral analysis: closed-form
-limits of the reflection sums, critical-line zero tables, the fine-tuned
-boundary phase per zero, the Perron-formula oracle for the truncated Moebius
-sums, and growth-based energy classification.
+"""Mirror-array model families and their spectral analysis: critical-line
+zero tables, the fine-tuned boundary phase per zero, the truncated Moebius
+sums of the Perron formula, and growth-based energy classification.
 
 Model kinds (couplings varrho_n, radii ell_n):
   harmonic          ell_n = e^{n/2},  varrho_n = eps                  (n >= 0)
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -79,29 +78,6 @@ class ModelSpec:
         if self.kind == "dirichlet":
             out *= self.character.values_upto(kmax)
         return out
-
-
-def r_infinity(model: ModelSpec, E: float) -> complex:
-    """Closed-form limit of sum_n varrho_n ell_n^{-2iE} where it exists."""
-    eps = model.epsilon
-    if model.kind == "harmonic":
-        raise DomainError("undamped geometric sum has no large-k limit")
-    if model.kind == "harmonic-damped":
-        if model.lam <= 0:
-            raise DomainError("geometric closed form needs lambda > 0")
-        return eps / (1.0 - cmath.exp(-model.lam - 1j * E))
-    s = model.sigma + 1j * E
-    if model.kind == "polylog":
-        if model.lam > 0:
-            return eps * numkit.polylog(s, math.exp(-model.lam))
-        if model.sigma <= 1:
-            raise DomainError("undamped polylog sum needs sigma > 1")
-        return eps * numkit.zeta(s)
-    if model.sigma <= 1:
-        raise DomainError("Moebius closed form certified only for sigma > 1")
-    if model.kind == "riemann":
-        return eps / numkit.zeta(s)
-    return eps / numkit.dirichlet_l(s, model.character)
 
 
 def _wrap_pi(x: float) -> float:
@@ -196,7 +172,7 @@ def l_function_zeros(chi: DirichletCharacter, count: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Perron oracle
+# Perron sums
 
 def perron_partial_sum(z: complex, x: int) -> complex:
     """sum_{n <= x} mu(n) n^{-z} with the last term half-weighted."""
@@ -208,41 +184,6 @@ def perron_partial_sum(z: complex, x: int) -> complex:
     terms = mu * n ** (-complex(z))
     terms[-1] *= 0.5
     return complex(np.sum(terms[1:]))
-
-
-def zeta_deriv_trivial(n: int) -> float:
-    """zeta'(-2n) = (-1)^n (2n)! zeta(2n+1) / (2^{2n+1} pi^{2n})."""
-    if n < 1:
-        raise DomainError("trivial zeros sit at -2n, n >= 1")
-    return ((-1) ** n * math.factorial(2 * n) * numkit.zeta(2 * n + 1).real
-            / (2 ** (2 * n + 1) * math.pi ** (2 * n)))
-
-
-def perron_residue_expansion(z: complex, x: float, zeros: list[float],
-                             n_trivial: int = 5) -> complex:
-    """Residue-series value of the half-weighted Moebius sum up to x.
-
-    Leading term is 1/zeta(z), or, when z itself sits on a critical-line
-    zero, the full double-pole residue of x^w / (w zeta(z + w)) at w = 0,
-    log(x)/zeta'(z) - zeta''(z) / (2 zeta'(z)^2); the listed nontrivial
-    ordinates contribute x^{rho - z} / ((rho - z) zeta'(rho)) for
-    rho = 1/2 +- i E_m, and n_trivial terms cover the poles at -2n.
-    """
-    z = complex(z)
-    zz = numkit.zeta(z)
-    if abs(zz) < 1e-6:
-        d1 = numkit.zeta_deriv(z)
-        total = math.log(x) / d1 - numkit.zeta_deriv(z, order=2) / (2 * d1 * d1)
-    else:
-        total = 1.0 / zz
-    for E_m in zeros:
-        for rho in (0.5 + 1j * E_m, 0.5 - 1j * E_m):
-            if abs(rho - z) < 1e-6:
-                continue
-            total += x ** (rho - z) / ((rho - z) * numkit.zeta_deriv(rho))
-    for n in range(1, n_trivial + 1):
-        total += x ** (-2 * n - z) / (-(2 * n + z) * zeta_deriv_trivial(n))
-    return complex(total)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Transfer-matrix engine: matching matrices, SU(1,1) transfer matrices,
-exact outward amplitude propagation, semiclassical running sums with their
-one-kick (BCH-summed) amplitudes, norms and scalar products, and the
-kicked-rotator decomposition with the closed-form geometric-array spectrum.
+"""Transfer-matrix engine: SU(1,1) transfer matrices, exact outward
+amplitude propagation, semiclassical running sums with their one-kick
+(BCH-summed) amplitudes, wave-function norms, and the closed-form band
+structure of the geometric array.
 
 Models enter through duck typing: any object with `boundary_index`,
 `log_ell_table(kmax)` and `rho_table(kmax)` (arrays indexed by mirror label)
@@ -19,74 +19,6 @@ import numpy as np
 
 from .errors import DomainError, SingularCouplingError
 
-SIGMA_Z = np.diag([1.0, -1.0]).astype(np.complex128)
-
-
-@dataclass(frozen=True)
-class ReflectionParams:
-    """Dimensionless mirror couplings (r, r', r'')."""
-
-    r: float
-    r_prime: float = 0.0
-    r_dprime: float = 0.0
-
-    @property
-    def varrho(self) -> complex:
-        return self.r - 1j * self.r_prime
-
-    @property
-    def det(self) -> float:
-        return 1.0 - self.r**2 - self.r_prime**2 + self.r_dprime**2
-
-
-@dataclass(frozen=True)
-class AmplitudeVector:
-    """Two-component amplitude (A_-, A_+), optionally carrying a log scale
-    so super-exponentially growing sequences stay representable."""
-
-    a_minus: complex
-    a_plus: complex
-    log_scale: float = 0.0
-
-    @property
-    def norm2(self) -> float:
-        return (abs(self.a_minus) ** 2 + abs(self.a_plus) ** 2) * math.exp(2 * self.log_scale)
-
-    @property
-    def log_norm2(self) -> float:
-        return math.log(abs(self.a_minus) ** 2 + abs(self.a_plus) ** 2) + 2 * self.log_scale
-
-    @property
-    def charge(self) -> float:
-        """sigma_z charge |A_-|^2 - |A_+|^2 (conserved; 0 off the boundary seed)."""
-        return (abs(self.a_minus) ** 2 - abs(self.a_plus) ** 2) * math.exp(2 * self.log_scale)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a_minus, self.a_plus], dtype=np.complex128) * math.exp(self.log_scale)
-
-
-def n_matrices(params: ReflectionParams) -> tuple[np.ndarray, np.ndarray]:
-    """Matching matrices N_+ and N_- across one mirror; det = 1 - r^2 - r'^2 + r''^2."""
-    r, rp, rpp = params.r, params.r_prime, params.r_dprime
-    n_plus = np.array([[1 + 1j * rpp, 1j * r + rp],
-                       [-1j * r + rp, 1 - 1j * rpp]], dtype=np.complex128)
-    n_minus = np.array([[1 - 1j * rpp, -(1j * r + rp)],
-                        [-(-1j * r + rp), 1 + 1j * rpp]], dtype=np.complex128)
-    return n_plus, n_minus
-
-
-def l_matrix(params: ReflectionParams) -> np.ndarray:
-    """Gauge-reduced matching matrix (r'' = 0): an SU(1,1)/U(1) coset element."""
-    r, rp = params.r, params.r_prime
-    if params.r_dprime != 0.0:
-        raise DomainError("gauge-reduced form requires r'' = 0")
-    d = 1 - r**2 - rp**2
-    if d <= 0:
-        raise SingularCouplingError(f"need r^2 + r'^2 < 1, got {r**2 + rp**2}")
-    diag = (1 + r**2 + rp**2) / d
-    return np.array([[diag, 2 * (1j * r + rp) / d],
-                     [2 * (-1j * r + rp) / d, diag]], dtype=np.complex128)
-
 
 def t_matrix(E: float, varrho: complex, ell: float) -> np.ndarray:
     """Transfer matrix across mirror at radius ell; unit determinant SU(1,1)."""
@@ -100,11 +32,6 @@ def t_matrix(E: float, varrho: complex, ell: float) -> np.ndarray:
     return np.array([[(1 + a2) / d, 2 * varrho * phase / d],
                      [2 * varrho.conjugate() / (phase * d), (1 + a2) / d]],
                     dtype=np.complex128)
-
-
-def boundary_vector(vartheta: float) -> AmplitudeVector:
-    """Amplitude seed (1, e^{i vartheta}) fixed by the self-adjoint boundary."""
-    return AmplitudeVector(1.0 + 0j, cmath.exp(1j * vartheta))
 
 
 class AmplitudeTrace:
@@ -161,15 +88,17 @@ def _propagate(diag: np.ndarray, off: np.ndarray, x: complex, y: complex):
     """Apply (x, y) -> (d x + o y, conj(o) x + d y) site by site; returns the
     lists of x, y and log scale from the seed on.
 
-    Once either modulus passes 1e150 both are divided by it and its log is
-    added to the running scale.
+    Once the larger modulus leaves [1e-150, 1e150] both are divided by it
+    and its log is added to the running scale, so neither a growing nor a
+    decaying sequence leaves the double range.
     """
     scale = 0.0
+    hi, lo = _RESCALE, 1 / _RESCALE  # locals: the cheapest test in this hot loop
     xs, ys, scales = [x], [y], [scale]
     for d, o in zip(diag.tolist(), off.tolist()):
         x, y = d * x + o * y, o.conjugate() * x + d * y
         m = max(abs(x), abs(y))
-        if m > _RESCALE:
+        if m > hi or m < lo:
             x /= m
             y /= m
             scale += math.log(m)
@@ -227,10 +156,6 @@ class SemiclassicalSums:
         i = k - self.n0
         return float(self.R[i]), float(self.Phi[i])
 
-    @property
-    def complex_sum(self) -> np.ndarray:
-        return self.R * np.exp(-1j * self.Phi)
-
 
 def semiclassical_sums(model, E: float, K: int, amplitude_scale: float = 1.0,
                        include_boundary: bool = True) -> SemiclassicalSums:
@@ -265,20 +190,30 @@ def bch_trace(sums: SemiclassicalSums, vartheta: float) -> AmplitudeTrace:
     With delta = vartheta - Phi, s = sin(delta/2) and c = cos(delta/2),
     cosh R - sinh R e^{i delta} = e^{-R} + 2 sinh R s (s - ic): both real
     parts are positive, so a tuned phase (s ~ 0) loses nothing to
-    cancellation. Where R > 300, e^R moves into log_scale, leaving e^{-2R}
-    and (1 - e^{-2R})/2 in place of e^{-R} and sinh R.
+    cancellation. Where R > 300 both components are divided by e^L with
+    L = max(R + log|s|, -R), which leaves them O(1) and puts L into
+    log_scale: e^{-R} becomes e^{-R-L} and 2 sinh R s becomes
+    (1 - e^{-2R}) sign(s) e^{R + log|s| - L}.
     """
     R = sums.R
-    small = R <= 300.0
-    Rs = np.where(small, R, 0.0)
-    em2r = np.exp(-2 * R)
-    decay = np.where(small, np.exp(-Rs), em2r)
-    sh = np.where(small, np.sinh(Rs), 0.5 - 0.5 * em2r)
     half = 0.5 * (vartheta - sums.Phi)
     s, c = np.sin(half), np.cos(half)
-    am = decay + 2 * sh * s * (s - 1j * c)
-    ap = cmath.exp(1j * vartheta) * (decay + 2 * sh * s * (s + 1j * c))
-    return AmplitudeTrace(sums.n0, am, ap, np.where(small, 0.0, R))
+    big = np.flatnonzero(R > 300.0)
+    Rs = R.copy()
+    Rs[big] = 0.0
+    decay, sh, w, log_scale = np.exp(-Rs), np.sinh(Rs), s.copy(), np.zeros_like(R)
+    if big.size:
+        Rb, sb = R[big], s[big]
+        with np.errstate(divide="ignore"):  # log 0 = -inf at an exactly tuned phase
+            log_s = np.log(np.abs(sb))
+        L = np.maximum(Rb + log_s, -Rb)
+        decay[big] = np.exp(-Rb - L)
+        sh[big] = 0.5 - 0.5 * np.exp(-2 * Rb)
+        w[big] = np.sign(sb) * np.exp(Rb + log_s - L)
+        log_scale[big] = L
+    am = decay + 2 * sh * w * (s - 1j * c)
+    ap = cmath.exp(1j * vartheta) * (decay + 2 * sh * w * (s + 1j * c))
+    return AmplitudeTrace(sums.n0, am, ap, log_scale)
 
 
 @dataclass(frozen=True)
@@ -317,63 +252,6 @@ def wavefunction_norm(model, trace: AmplitudeTrace) -> NormReport:
     else:
         verdict = "marginal"
     return NormReport(partial=total, verdict=verdict, tail_ratio=ratio)
-
-
-def scalar_product(E1: float, trace1: AmplitudeTrace, E2: float, trace2: AmplitudeTrace,
-                   model) -> complex:
-    """Truncated eigenfunction overlap for E1 != E2."""
-    if E1 == E2:
-        raise DomainError("scalar product needs distinct energies")
-    if trace1.n0 != trace2.n0 or len(trace1) != len(trace2):
-        raise DomainError("traces must share index range")
-    E12 = E1 - E2
-    K = trace1.n0 + len(trace1) - 1
-    log_ells = model.log_ell_table(K + 1)
-    idx = trace1.indices
-    up = np.exp(1j * E12 * log_ells[idx + 1]) - np.exp(1j * E12 * log_ells[idx])
-    dn = np.exp(-1j * E12 * log_ells[idx + 1]) - np.exp(-1j * E12 * log_ells[idx])
-    s1 = np.exp(trace1.log_scale)
-    s2 = np.exp(trace2.log_scale)
-    total = np.sum(up * np.conj(trace1.a_minus * s1) * trace2.a_minus * s2
-                   - dn * np.conj(trace1.a_plus * s1) * trace2.a_plus * s2)
-    return complex(total / (1j * E12))
-
-
-def decompose_T(r: float, ell: float, E: float) -> tuple[float, float]:
-    """Split T(E, r, ell) (real coupling) as e^{-i phi sz} e^{g sx} e^{i phi sz}."""
-    if abs(r) >= 1:
-        raise DomainError(f"|r| must be < 1, got {r}")
-    if ell <= 0:
-        raise DomainError("mirror radius must be positive")
-    g = math.log((1 + r) / (1 - r))
-    phi = E * math.log(ell)
-    return g, phi
-
-
-def recompose_T(g: float, phi: float) -> np.ndarray:
-    """Inverse of decompose_T: [[cosh g, e^{-2i phi} sinh g], [e^{2i phi} sinh g, cosh g]]."""
-    return np.array([[math.cosh(g), cmath.exp(-2j * phi) * math.sinh(g)],
-                     [cmath.exp(2j * phi) * math.sinh(g), math.cosh(g)]],
-                    dtype=np.complex128)
-
-
-def kicked_step(a_hat: AmplitudeVector, delta: float, g: float) -> AmplitudeVector:
-    """Inward kicked-rotator step e^{-i delta sigma_z} e^{g sigma_x}: free spin
-    precession for a time delta followed by an imaginary x-kick of strength g.
-    The outward propagation of propagate_exact applies this map's inverse."""
-    ch, sh = math.cosh(g), math.sinh(g)
-    x = a_hat.a_minus * ch + a_hat.a_plus * sh
-    y = a_hat.a_minus * sh + a_hat.a_plus * ch
-    ph = cmath.exp(-1j * delta)
-    return AmplitudeVector(ph * x, y / ph, a_hat.log_scale)
-
-
-def harmonic_S(E: float, g: float) -> np.ndarray:
-    """One-period outward step e^{-g sigma_x} e^{i E sigma_z / 2} of the
-    geometric mirror array; Tr S = 2 cosh g cos(E/2) and S(E + 2 pi) = -S(E)."""
-    ch, sh = math.cosh(g), math.sinh(g)
-    e = cmath.exp(1j * E / 2)
-    return np.array([[ch * e, -sh / e], [-sh * e, ch / e]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 
 from mirrorspec import boundary_spectrum as bs
 from mirrorspec import mirrors, models, numkit, transfer
-from mirrorspec.arith import characters_mod, primitive_characters
+from mirrorspec.arith import characters_mod
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -205,20 +205,20 @@ def test_criterion_7_theta_statistics():
                    f"over 1000 zeros (need > 60%), {dt:.1f}s")
 
 
-def test_criterion_8_perron_oracle(E1, zeros10):
+def test_criterion_8_perron_oracle(E1, perron_residue_series):
     t0 = time.monotonic()
     basel_err = abs(models.perron_partial_sum(2.0, 10**6) - 6 / math.pi**2)
     z = 0.5 + 1j * E1
     xs = np.unique(np.round(np.logspace(3, 6, 12)).astype(int))
     mods = [abs(models.perron_partial_sum(z, int(x))) for x in xs]
     slope = float(np.polyfit(np.log(xs.astype(float)), mods, 1)[0])
-    target = 1.0 / abs(numkit.hardy_z_deriv(E1, h=1e-4))
+    target = 1.0 / abs(float(mpmath.siegelz(E1, derivative=1)))
     slope_ok = abs(slope / target - 1.0) <= 0.25
     zeros50 = models.riemann_zeros(count=50)
     resid_ratios = []
     for x in (10**4, 10**5, 10**6):
         direct = abs(models.perron_partial_sum(z, x))
-        series = abs(models.perron_residue_expansion(z, float(x), zeros50))
+        series = abs(perron_residue_series(z, float(x), zeros50))
         resid_ratios.append(series / direct)
     resid_ok = all(abs(r - 1.0) <= 0.25 for r in resid_ratios)
     dt = time.monotonic() - t0
@@ -248,8 +248,8 @@ def test_criterion_10_dirichlet_extension(chi4):
     worst = 0.0
     nchars = 0
     for q in range(3, 13):
-        for chi in primitive_characters(q):
-            if chi.modulus != q:
+        for chi in characters_mod(q):
+            if not chi.primitive:
                 continue
             nchars += 1
             for t in np.linspace(0.5, 50.0, 100):

@@ -38,7 +38,29 @@ def test_moebius_sieve_matches_direct():
 
 
 def test_mertens_value():
-    assert arith.mertens(10_000) == -23
+    # Mertens function M(10^4) = -23 from the sieved table
+    assert int(arith.moebius_sieve(10_000).values[1:].sum()) == -23
+
+
+_MU_LIMIT = 100_000
+
+
+@given(st.integers(1, 316), st.integers(1, 316))
+def test_moebius_multiplicative_on_coprime_pairs(m, n):
+    mu = arith.moebius_sieve(_MU_LIMIT)
+    if math.gcd(m, n) == 1:
+        assert mu[m * n] == mu[m] * mu[n]
+    else:
+        assert mu[m * n] == 0  # a shared prime divides mn twice
+
+
+@given(st.integers(1, _MU_LIMIT))
+def test_moebius_divisor_sum(n):
+    # sum over d | n of mu(d) is 1 at n = 1 and 0 elsewhere
+    mu = arith.moebius_sieve(_MU_LIMIT)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = set(small) | {n // d for d in small}
+    assert sum(mu[d] for d in divisors) == (1 if n == 1 else 0)
 
 
 def test_euler_phi():
@@ -94,12 +116,24 @@ def test_character_conductor_and_primitivity():
     assert conductors == [1, 4, 8, 8]
 
 
+@given(st.integers(1, 60))
+def test_character_orthogonality(q):
+    # the phi(q) x q value matrix C: rows C C^H = phi I; columns over the
+    # units, sum_chi chi(m) conj chi(n) = phi [m = n mod q]
+    chars = arith.characters_mod(q)
+    phi = arith.euler_phi(q)
+    C = np.array([chi.values_upto(q)[1:] for chi in chars])
+    assert np.max(np.abs(C @ C.conj().T - phi * np.eye(phi))) < 1e-9
+    units = [n - 1 for n in range(1, q + 1) if math.gcd(n, q) == 1]
+    cols = C[:, units]
+    assert np.max(np.abs(cols.conj().T @ cols - phi * np.eye(phi))) < 1e-9
+
+
 @pytest.mark.parametrize("q", [5, 7, 12])
 def test_gauss_sum_modulus(q):
-    for chi in arith.primitive_characters(q):
-        if chi.modulus != q:
-            continue
-        assert abs(abs(arith.gauss_sum(chi)) - math.sqrt(q)) < 1e-10
+    for chi in arith.characters_mod(q):
+        if chi.primitive:
+            assert abs(abs(arith.gauss_sum(chi)) - math.sqrt(q)) < 1e-10
 
 
 def test_gauss_sum_quadratic_exact(chi4):
@@ -108,10 +142,14 @@ def test_gauss_sum_quadratic_exact(chi4):
 
 
 def test_primitive_characters_q_max():
-    prims = arith.primitive_characters(12)
-    assert all(c.primitive for c in prims)
-    moduli = {c.modulus for c in prims}
-    assert 4 in moduli and 2 not in moduli  # no primitive character mod 2
+    # every character mod q is induced by exactly one primitive character of
+    # conductor d | q, so the primitive counts p(d) satisfy sum_{d|q} p(d) =
+    # phi(q); there is none mod 2 (or any q = 2 mod 4)
+    counts = {q: sum(c.primitive for c in arith.characters_mod(q)) for q in range(1, 41)}
+    for q in counts:
+        assert sum(counts[d] for d in counts if q % d == 0) == arith.euler_phi(q)
+        if q % 4 == 2:
+            assert counts[q] == 0
 
 
 def test_moebius_sieve_rejects_bad_limit():

