@@ -65,6 +65,7 @@ def solve_spectrum(problem: BoundaryProblem, E_max: float) -> RootList:
     if E_max <= 0:
         raise DomainError("E_max must be positive")
     step = 0.25 * math.pi / max(math.log(2 * E_max / problem.m_ell1), 1.0)
-    f = lambda E: eigen_residual(problem, E)
-    roots = numkit.scan_roots(f, 0.0, E_max, lambda E: step)
-    return RootList(roots=tuple(roots), residuals=tuple(abs(f(r)) for r in roots))
+    pairs = numkit.scan_roots(lambda E: eigen_residual(problem, E), 0.0, E_max,
+                              lambda E: step)
+    return RootList(roots=tuple(r for r, _ in pairs),
+                    residuals=tuple(abs(g) for _, g in pairs))

@@ -146,7 +146,7 @@ def riemann_zeros(count: int | None = None, t_max: float | None = None) -> list[
         t_max = t
     def step(t):
         return max(0.05, 0.25 * 2 * math.pi / math.log(max(t, 10.0) / (2 * math.pi) + 2.0))
-    roots = numkit.scan_roots(numkit.hardy_z, 2.0, t_max, step)
+    roots = [r for r, _ in numkit.scan_roots(numkit.hardy_z, 2.0, t_max, step)]
     if count is not None:
         if len(roots) < count:
             raise BracketError(f"found {len(roots)} zeros, wanted {count}")
@@ -163,7 +163,7 @@ def l_function_zeros(chi: DirichletCharacter, count: int | None = None,
     if t_max is None:
         t_max = 10.0 + 4.0 * count  # generous: low-lying L-zero spacing is O(2)
     f = lambda t: numkit.l_phase_split(t, chi).z.real
-    roots = numkit.scan_roots(f, 0.05, t_max, lambda t: 0.2)
+    roots = [r for r, _ in numkit.scan_roots(f, 0.05, t_max, lambda t: 0.2)]
     if count is not None:
         if len(roots) < count:
             raise BracketError(f"found {len(roots)} zeros, wanted {count}")

@@ -1,7 +1,8 @@
 """Special-function kernel: zeta and Hurwitz zeta off the critical line,
-the Riemann-Siegel theta and Hardy Z, modified Bessel functions of complex
-order, Dirichlet L-functions with their completed phases, and the
-sign-change root scan that the zero tables and the boundary spectrum share.
+log Gamma, the Riemann-Siegel theta and Hardy Z, modified Bessel functions
+of complex order, Dirichlet L-functions with their completed phases, and the
+sign-change root scan with its Brent refinement that the zero tables and the
+boundary spectrum share.
 
 Everything here is double precision; K of complex order comes from
 mpmath.besselk, rounded to a complex double.
@@ -11,21 +12,25 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import loggamma
 
 from .arith import DirichletCharacter, gauss_sum
-from .errors import AccuracyLossWarning, DomainError, PoleError
+from .errors import AccuracyLossWarning, BracketError, DomainError, PoleError
 
 ROOT_XTOL = 1e-10
+_ROOT_RTOL = 4 * sys.float_info.epsilon
+_ROOT_MAXITER = 100
 
 _B2J = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510]
 _B2J_FACT = [b / math.factorial(2 * (j + 1)) for j, b in enumerate(_B2J)]
+# Stirling coefficients B_2j / (2j (2j - 1)), j = 1..8, highest first for Horner
+_STIRLING = [b / (2 * j * (2 * j - 1)) for j, b in enumerate(_B2J, start=1)][::-1]
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
 
 def hurwitz_zeta(s: complex, a: float = 1.0) -> complex:
@@ -62,9 +67,29 @@ def zeta(s: complex) -> complex:
     return hurwitz_zeta(s, 1.0)
 
 
+def loggamma(z: complex) -> complex:
+    """Principal branch of log Gamma(z) for Re z > 0 (DLMF 5.11.1).
+
+    z is shifted up by log Gamma(z) = log Gamma(z + 1) - log z until
+    Re z > 7 or |Im z| > 7, where the 8-term Stirling series is accurate to
+    about 1e-15; this is also where scipy's loggamma switches to the same
+    series, so Im log Gamma, and theta with it, keep their last bits."""
+    z = complex(z)
+    shift = 0j
+    while z.real <= 7 and abs(z.imag) <= 7:
+        shift += cmath.log(z)
+        z += 1
+    rz = 1 / z
+    rzz = rz * rz
+    series = 0.0
+    for c in _STIRLING:
+        series = series * rzz + c
+    return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + rz * series - shift
+
+
 def riemann_siegel_theta(t: float) -> float:
     """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi."""
-    return float(loggamma(0.25 + 0.5j * t).imag) - 0.5 * t * math.log(math.pi)
+    return loggamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
 
 
 def smoothed_zero_count(t: float) -> float:
@@ -89,10 +114,11 @@ def bessel_k_complex_order(nu: complex, x: float) -> complex:
     return complex(mpmath.besselk(nu, x))
 
 
-def scan_roots(f, t_start: float, t_max: float, step_fn) -> list[float]:
-    """Zeros of a real f on [t_start, t_max]: sign changes over steps of
-    step_fn(t), each refined by Brent's method to ROOT_XTOL. An exact zero at
-    a grid point counts as a root; t_max itself is never one."""
+def scan_roots(f, t_start: float, t_max: float, step_fn) -> list[tuple[float, float]]:
+    """Zeros of a real f on [t_start, t_max] as (root, f(root)) pairs: sign
+    changes over steps of step_fn(t), each refined by Brent's method to
+    ROOT_XTOL. An exact zero at a grid point counts as a root; t_max itself is
+    never one. f is evaluated once per grid point and once per Brent iterate."""
     roots = []
     t = t_start
     ft = f(t)
@@ -100,12 +126,61 @@ def scan_roots(f, t_start: float, t_max: float, step_fn) -> list[float]:
         t2 = min(t + step_fn(t), t_max)
         ft2 = f(t2)
         if ft == 0.0:
-            roots.append(t)
+            roots.append((t, ft))
         # not ft * ft2 < 0: the product underflows to 0 once |f| ~ 1e-162
         elif min(ft, ft2) < 0 < max(ft, ft2):
-            roots.append(float(brentq(f, t, t2, xtol=ROOT_XTOL)))
+            roots.append(_brent(f, t, t2, ft, ft2))
         t, ft = t2, ft2
     return roots
+
+
+def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float) -> tuple[float, float]:
+    """(root, f(root)) of f in the bracket [xpre, xcur], whose end values
+    fpre = f(xpre) and fcur = f(xcur) are nonzero with opposite signs.
+
+    Brent's zeroin (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4) in the form of scipy's brentq, step for step: inverse quadratic or
+    secant steps, bisection when they stall, converged once the bracket is
+    narrower than ROOT_XTOL + 4 eps |root|. Raises BracketError when f is not
+    finite at an iterate or 100 iterations do not converge."""
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if (fpre < 0) != (fcur < 0):  # (an fcur of 0 returns below either way)
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, fcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            # a zero den (it underflows where |f| ~ 1e-170) is an infinite
+            # step in IEEE arithmetic, which the test below rejects
+            stry = num / den if den != 0 else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if not math.isfinite(fcur):
+            raise BracketError(f"root refinement met f({xcur!r}) = {fcur} inside a bracket")
+    raise BracketError(f"root refinement did not converge in {_ROOT_MAXITER} "
+                       f"iterations near {xcur!r}")
 
 
 def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:
@@ -159,7 +234,7 @@ def _l_theta(t: float, chi: DirichletCharacter) -> tuple[float, float]:
     a = chi.parity
     root = (1j) ** (-a) * gauss_sum(chi) / math.sqrt(q)
     eps_half = cmath.phase(root)
-    theta = (float(loggamma((1 + 2 * a) / 4 + 0.5j * t).imag)
+    theta = (loggamma((1 + 2 * a) / 4 + 0.5j * t).imag
              - 0.5 * t * math.log(math.pi / q) - 0.5 * eps_half)
     return theta, eps_half
 

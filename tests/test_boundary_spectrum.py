@@ -54,6 +54,8 @@ def test_spectrum_to_80_bracketed_by_mpmath():
         lo, hi = _mp_residual(p, r - 1e-7), _mp_residual(p, r + 1e-7)
         assert lo * hi < 0, r
         assert res <= min(abs(lo), abs(hi)), r
+        # the residual is G at the root that the scan returns, not a re-evaluation
+        assert res == abs(bs.eigen_residual(p, r)), r
 
 
 def test_residual_raises_where_k_underflows():

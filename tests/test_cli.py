@@ -2,12 +2,18 @@
 
 import json
 import math
+import re
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mirrorspec
 from mirrorspec import cli, models, transfer
 
 
@@ -135,6 +141,15 @@ def test_perron_convergent_region(capsys):
     assert lines[0] == "x,re,im,modulus,log_x_fit"
     last = lines[-1].split(",")
     assert abs(float(last[3]) - 6 / math.pi**2) < 1e-3
+
+
+def test_perron_rejects_kmax_over_sieve_budget_at_once(capsys):
+    # 6e7 > arith._MAX_SIEVE: refused before the grid points below it are sieved
+    start = time.perf_counter()
+    code, out, err = run(["perron", "--sigma", "0.5", "--emin", "14.13",
+                          "--kmax", "60000000", "--grid", "20"], capsys)
+    assert code == 2 and out == "" and "sieve" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -295,3 +310,17 @@ def test_csv_and_json_carry_the_same_values(command, capsys):
             assert all(map(_same_value, line.split(","), row.values())), (line, row)
 
     check()
+
+
+def test_no_scipy_on_the_import_path():
+    # every CLI call pays for what `import mirrorspec.cli` loads
+    src = Path(mirrorspec.__file__).resolve().parents[1]
+    probe = ("import sys, mirrorspec.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
+    imports_scipy = re.compile(r"^\s*(from|import)\s+scipy\b", re.M)
+    root = Path(__file__).resolve().parents[1]
+    files = [*(src / "mirrorspec").rglob("*.py"), *(root / "tests").rglob("*.py")]
+    assert files and not [f.name for f in files if imports_scipy.search(f.read_text())]

@@ -6,9 +6,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirrorspec import models, numkit
-from mirrorspec.errors import DomainError, PoleError
+from mirrorspec.errors import BracketError, DomainError, PoleError
 
 
 def _mp(z):
@@ -184,15 +186,66 @@ def test_hardy_z_deriv_sign_at_first_zero(E1):
 
 def test_scan_roots_grid_zeros_and_brackets():
     # grid 0, 0.5, ..., 3: exact zeros at 0 and 1 are roots, the zero at
-    # t_max = 3 is not, and the one inside (1.5, 2] is refined by brentq
+    # t_max = 3 is not, and the one inside (1.5, 2] is refined by _brent
     f = lambda t: t * (t - 1.0) * (t - 1.75) * (t - 3.0)
-    roots = numkit.scan_roots(f, 0.0, 3.0, lambda t: 0.5)
-    assert roots[:2] == [0.0, 1.0] and len(roots) == 3
-    assert abs(roots[2] - 1.75) <= numkit.ROOT_XTOL
+    pairs = numkit.scan_roots(f, 0.0, 3.0, lambda t: 0.5)
+    assert pairs[:2] == [(0.0, 0.0), (1.0, 0.0)] and len(pairs) == 3
+    assert abs(pairs[2][0] - 1.75) <= numkit.ROOT_XTOL
+    assert pairs[2][1] == f(pairs[2][0])
     # a step that grows with t still brackets every zero once
-    roots = numkit.scan_roots(math.sin, 1.0, 20.0, lambda t: 0.1 + 0.02 * t)
+    roots = [r for r, _ in numkit.scan_roots(math.sin, 1.0, 20.0, lambda t: 0.1 + 0.02 * t)]
     assert len(roots) == 6
-    assert max(abs(r - math.pi * n) for n, r in enumerate(roots, start=1)) < 1e-9
+    for r in roots:
+        assert abs(r - float(mpmath.findroot(mpmath.sin, r))) <= numkit.ROOT_XTOL
     # a sign change between values of 1e-170, whose product underflows to 0
-    roots = numkit.scan_roots(lambda t: 1e-170 * math.sin(t), 1.0, 20.0, lambda t: 0.1)
-    assert len(roots) == 6
+    tiny = lambda t: 1e-170 * math.sin(t)
+    pairs = numkit.scan_roots(tiny, 1.0, 20.0, lambda t: 0.1)
+    assert len(pairs) == 6
+    for r, g in pairs:
+        want = mpmath.findroot(lambda x: mpmath.mpf("1e-170") * mpmath.sin(x), r)
+        assert abs(r - float(want)) <= numkit.ROOT_XTOL and g == tiny(r)
+
+
+def test_scan_roots_evaluates_each_point_once():
+    # f once per grid point plus once per Brent iterate: the bracket ends,
+    # already known from the grid, are never evaluated again
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return math.cos(t)
+
+    pairs = numkit.scan_roots(f, 0.0, 10.0, lambda t: 0.7)
+    grid = [0.0]
+    while grid[-1] < 10.0:
+        grid.append(min(grid[-1] + 0.7, 10.0))
+    assert len(pairs) == 3 and len(seen) == len(set(seen))
+    assert [t for t in seen if t in grid] == grid
+    assert all(t in seen for t, _ in pairs)
+
+
+def test_brent_raises_on_nan_inside_bracket():
+    f = lambda t: math.nan if 0.4 < t < 0.6 else t - 0.5
+    with pytest.raises(BracketError, match="inside a bracket"):
+        numkit.scan_roots(f, 0.0, 1.0, lambda t: 1.0)
+
+
+def test_brent_raises_when_not_converged():
+    # a unit step at t = 1 bracketed by [0, 1e300]: bisection alone would need
+    # about 1000 halvings to reach ROOT_XTOL, past the 100-iteration limit
+    step = lambda t: -1.0 if t < 1.0 else 1.0
+    with pytest.raises(BracketError, match="did not converge"):
+        numkit.scan_roots(step, 0.0, 1e300, lambda t: 1e300)
+
+
+@settings(max_examples=300)
+@given(a=st.sampled_from([0.25, 0.75]),
+       t=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
+@example(a=0.25, t=0.0)
+@example(a=0.75, t=0.0)
+@example(a=0.25, t=13.9)  # |Im z| = 6.95: shifted up before the series
+@example(a=0.75, t=-3.0)
+def test_loggamma_matches_mpmath(a, t):
+    z = complex(a, 0.5 * t)
+    want = complex(mpmath.loggamma(mpmath.mpc(a, 0.5 * t)))
+    assert abs(numkit.loggamma(z) - want) <= 1e-14 * max(1.0, abs(want.imag))
