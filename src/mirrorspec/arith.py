@@ -10,6 +10,7 @@ for powers of two, glued by CRT.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -22,45 +23,27 @@ _MAX_SIEVE = 50_000_000
 _MAX_MODULUS = 1_000_000
 
 
-@dataclass(frozen=True)
-class MoebiusTable:
-    """mu(n) for 1 <= n <= limit; values[n] in {-1, 0, +1} (index 0 unused)."""
-
-    limit: int
-    values: np.ndarray
-
-    def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise DomainError(f"mu({n}) outside sieved range [1, {self.limit}]")
-        return int(self.values[n])
-
-
 @lru_cache(maxsize=8)
-def moebius_sieve(limit: int) -> MoebiusTable:
-    """Linear sieve for the Moebius function up to `limit` (inclusive)."""
+def moebius_sieve(limit: int) -> np.ndarray:
+    """mu(n) for 0 <= n <= limit as a read-only int8 array, mu[0] = 0."""
     if limit < 1:
         raise DomainError("sieve limit must be >= 1")
     if limit > _MAX_SIEVE:
         raise DomainError(f"sieve limit {limit} exceeds memory budget {_MAX_SIEVE}")
-    mu = np.zeros(limit + 1, dtype=np.int8)
-    mu[1] = 1
-    is_comp = bytearray(limit + 1)
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        mi = mu[i]
-        for p in primes:
-            ip = i * p
-            if ip > limit:
-                break
-            is_comp[ip] = 1
-            if i % p == 0:
-                mu[ip] = 0
-                break
-            mu[ip] = -mi
-    return MoebiusTable(limit=limit, values=mu)
+    mu = np.ones(limit + 1, dtype=np.int8)
+    # rest[n]: n divided once by each prime p <= sqrt(limit) that divides it
+    rest = np.arange(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if rest[p] == p:  # no smaller prime divides p
+            mu[p::p] *= -1
+            mu[p * p::p * p] = 0
+            rest[p::p] //= p
+    # n <= limit has at most one prime factor above sqrt(limit): for squarefree
+    # n it is what rest[n] holds (non-squarefree n already have mu = 0)
+    np.negative(mu, out=mu, where=rest > 1)
+    mu[0] = 0
+    mu.flags.writeable = False
+    return mu
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -115,19 +98,12 @@ class DirichletCharacter:
     index: int  # position in the deterministic ordering of characters_mod
 
     def __call__(self, n: int) -> complex:
-        if self.modulus == 1:
-            return 1.0 + 0.0j
         return complex(self.table[n % self.modulus])
 
     def values_upto(self, limit: int) -> np.ndarray:
-        """chi(1..limit) as a complex array (index 0 unused)."""
-        out = np.zeros(limit + 1, dtype=np.complex128)
-        if self.modulus == 1:
-            out[1:] = 1.0
-        else:
-            idx = np.arange(limit + 1) % self.modulus
-            out[:] = self.table[idx]
-            out[0] = 0.0
+        """chi(0..limit) as a complex array (index 0 unused, set to 0)."""
+        out = self.table[np.arange(limit + 1) % self.modulus]
+        out[0] = 0.0
         return out
 
     @property
@@ -160,22 +136,6 @@ def _unit_group_generators(q: int) -> list[tuple[int, int]]:
     return gens
 
 
-def _conductor(q: int, table: np.ndarray) -> int:
-    """Smallest d | q such that chi(n) = 1 whenever n = 1 (mod d), gcd(n, q) = 1."""
-    if q == 1:
-        return 1
-    divisors = sorted(d for d in range(1, q + 1) if q % d == 0)
-    for d in divisors:
-        ok = True
-        for n in range(1, q + 1, d ):
-            if math.gcd(n, q) == 1 and abs(table[n % q] - 1.0) > 1e-9:
-                ok = False
-                break
-        if ok:
-            return d
-    return q
-
-
 def characters_mod(q: int) -> list[DirichletCharacter]:
     """All phi(q) Dirichlet characters mod q, principal character first.
 
@@ -186,50 +146,26 @@ def characters_mod(q: int) -> list[DirichletCharacter]:
         raise DomainError("modulus must be positive")
     if q > _MAX_MODULUS:
         raise DomainError(f"modulus {q} exceeds supported bound {_MAX_MODULUS}")
-    if q == 1:
-        table = np.ones(1, dtype=np.complex128)
-        return [DirichletCharacter(modulus=1, table=table, parity=0,
-                                   primitive=True, conductor=1, index=0)]
-
     gens = _unit_group_generators(q)
     orders = [m for _, m in gens]
-    phi = euler_phi(q)
-    assert math.prod(orders) == phi if orders else phi == 1
-
-    # discrete logs of every unit with respect to the generator tuple
-    units = [n for n in range(1, q + 1) if math.gcd(n, q) == 1]
-    dlog: dict[int, tuple[int, ...]] = {}
-    # enumerate products of generator powers
-    def fill(i: int, residue: int, exps: tuple[int, ...]) -> None:
-        if i == len(gens):
-            dlog[residue] = exps
-            return
-        g, m = gens[i]
-        r = residue
-        for t in range(m):
-            fill(i + 1, r, exps + (t,))
-            r = (r * g) % q
-    fill(0, 1, ())
-    assert len(dlog) == phi
+    # exponent tuples in lexicographic order; (0,...,0) is the principal character
+    tuples = list(itertools.product(*map(range, orders)))
+    # discrete logs: the unit prod_i g_i^t_i has the exponent tuple t
+    dlog = {math.prod(pow(g, t, q) for (g, _), t in zip(gens, exps)) % q: exps
+            for exps in tuples}
+    units = np.array(list(dlog))
+    # the conductor is the smallest d | q with chi = 1 on the units = 1 (mod d)
+    cosets = [(d, units[units % d == 1 % d]) for d in range(1, q + 1) if q % d == 0]
 
     chars: list[DirichletCharacter] = []
-    # exponent tuples in lexicographic order; (0,...,0) is the principal character
-    def char_tuples(i: int, prefix: tuple[int, ...]):
-        if i == len(orders):
-            yield prefix
-            return
-        for c in range(orders[i]):
-            yield from char_tuples(i + 1, prefix + (c,))
-
-    minus_one = (q - 1) % q
-    for index, cs in enumerate(char_tuples(0, ())):
+    for index, cs in enumerate(tuples):
         table = np.zeros(q, dtype=np.complex128)
-        for n in units:
-            exps = dlog[n]
-            phase = sum(c * t / m for c, t, m in zip(cs, exps, orders))
-            table[n % q] = cmath.exp(2j * math.pi * phase)
-        parity = 0 if abs(table[minus_one] - 1.0) < 1e-9 else 1
-        cond = _conductor(q, table)
+        table[units] = [cmath.exp(2j * math.pi * sum(c * t / m for c, t, m
+                                                     in zip(cs, exps, orders)))
+                        for exps in dlog.values()]
+        parity = 0 if abs(table[q - 1] - 1.0) < 1e-9 else 1
+        cond = next(d for d, ones in cosets
+                    if np.all(np.abs(table[ones] - 1.0) <= 1e-9))
         chars.append(DirichletCharacter(modulus=q, table=table, parity=parity,
                                         primitive=(cond == q), conductor=cond,
                                         index=index))

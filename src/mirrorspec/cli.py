@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import boundary_spectrum, mirrors, models, numkit, transfer
-from .arith import _MAX_SIEVE, characters_mod
+from .arith import characters_mod
 from .errors import (BracketError, DomainError, InvalidPathError, PoleError,
                      SingularCouplingError)
 
@@ -178,15 +178,13 @@ def cmd_perron(args) -> int:
     z = complex(args.sigma, args.emin)
     if args.kmax < 10:
         raise DomainError("perron needs kmax >= 10")
-    if args.kmax > _MAX_SIEVE:
-        raise DomainError(f"perron --kmax {args.kmax} exceeds the sieve budget {_MAX_SIEVE}")
     xs = np.unique(np.round(np.logspace(1, math.log10(args.kmax),
                                         args.grid)).astype(int))
     cols = ["x", "re", "im", "modulus", "log_x_fit"]
     rows = []
     logs, mods = [], []
-    for x in xs:
-        s = models.perron_partial_sum(z, int(x))
+    for x, s in zip(xs, models.perron_partial_sum(z, xs)):
+        s = complex(s)
         logs.append(math.log(x))
         mods.append(abs(s))
         if len(logs) >= 3:

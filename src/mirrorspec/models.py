@@ -73,8 +73,7 @@ class ModelSpec:
         if self.kind == "polylog":
             out = self.epsilon * np.exp(-self.lam * n) * power
             return out.astype(np.complex128)
-        mu = moebius_sieve(kmax).values[:kmax + 1].astype(np.float64)
-        out = (self.epsilon * mu * power).astype(np.complex128)
+        out = (self.epsilon * moebius_sieve(kmax) * power).astype(np.complex128)
         if self.kind == "dirichlet":
             out *= self.character.values_upto(kmax)
         return out
@@ -134,56 +133,69 @@ def z_prime_sign(n: int, chi: DirichletCharacter | None = None) -> int:
 # ---------------------------------------------------------------------------
 # zero tables (self-computed by sign-change bisection of the real section)
 
-def riemann_zeros(count: int | None = None, t_max: float | None = None) -> list[float]:
-    """Positive ordinates of the critical-line zeros, by Hardy-Z bisection."""
+def _zeros_upto(f, t_start: float, step_fn, theta, count: int | None,
+                t_max: float | None) -> list[float]:
+    """Sign-change roots of f up to t_max, or the first `count` of them; for
+    a count, t grows until the mean zero count theta(t)/pi + 1 reaches
+    count + 3."""
     if count is None and t_max is None:
         raise DomainError("give count or t_max")
     if t_max is None:
-        # invert the smoothed counting function for the needed height, pad 5%
-        t = 10.0
-        while numkit.smoothed_zero_count(t) < count + 3:
-            t *= 1.3
-        t_max = t
-    def step(t):
-        return max(0.05, 0.25 * 2 * math.pi / math.log(max(t, 10.0) / (2 * math.pi) + 2.0))
-    roots = [r for r, _ in numkit.scan_roots(numkit.hardy_z, 2.0, t_max, step)]
+        t_max = 10.0
+        while theta(t_max) / math.pi + 1.0 < count + 3:
+            t_max *= 1.3
+    roots = [r for r, _ in numkit.scan_roots(f, t_start, t_max, step_fn)]
     if count is not None:
         if len(roots) < count:
             raise BracketError(f"found {len(roots)} zeros, wanted {count}")
         roots = roots[:count]
     return roots
+
+
+def riemann_zeros(count: int | None = None, t_max: float | None = None) -> list[float]:
+    """Positive ordinates of the critical-line zeros, by Hardy-Z bisection."""
+    def step(t):
+        return max(0.05, 0.25 * 2 * math.pi / math.log(max(t, 10.0) / (2 * math.pi) + 2.0))
+    return _zeros_upto(numkit.hardy_z, 2.0, step, numkit.riemann_siegel_theta,
+                       count, t_max)
 
 
 def l_function_zeros(chi: DirichletCharacter, count: int | None = None,
                      t_max: float | None = None) -> list[float]:
     """Positive ordinates of critical-line zeros of L(s, chi), via the real
     section of the phase-split L value."""
-    if count is None and t_max is None:
-        raise DomainError("give count or t_max")
-    if t_max is None:
-        t_max = 10.0 + 4.0 * count  # generous: low-lying L-zero spacing is O(2)
-    f = lambda t: numkit.l_phase_split(t, chi).z.real
-    roots = [r for r, _ in numkit.scan_roots(f, 0.05, t_max, lambda t: 0.2)]
-    if count is not None:
-        if len(roots) < count:
-            raise BracketError(f"found {len(roots)} zeros, wanted {count}")
-        roots = roots[:count]
-    return roots
+    return _zeros_upto(lambda t: numkit.l_phase_split(t, chi).z.real, 0.05,
+                       lambda t: 0.2, lambda t: numkit.l_theta(t, chi),
+                       count, t_max)
 
 
 # ---------------------------------------------------------------------------
 # Perron sums
 
-def perron_partial_sum(z: complex, x: int) -> complex:
-    """sum_{n <= x} mu(n) n^{-z} with the last term half-weighted."""
-    if x < 1:
+def perron_partial_sum(z: complex, xs) -> np.ndarray:
+    """sum_{n <= x} mu(n) n^{-z} with the last term half-weighted, for each x
+    of the ascending xs. One sieve and one term array serve every x: each sum
+    is np.sum over a prefix slice, which keeps numpy's pairwise rounding."""
+    xs = [int(x) for x in xs]
+    sums = np.empty(len(xs), dtype=np.complex128)
+    if not xs:
+        return sums
+    if xs[0] < 1:
         raise DomainError("x must be >= 1")
-    mu = moebius_sieve(int(x)).values[:int(x) + 1].astype(np.float64)
-    n = np.arange(int(x) + 1, dtype=np.float64)
+    mu = moebius_sieve(xs[-1])
+    n = np.arange(xs[-1] + 1, dtype=np.float64)
     n[0] = 1.0
-    terms = mu * n ** (-complex(z))
-    terms[-1] *= 0.5
-    return complex(np.sum(terms[1:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = n ** (-complex(z))
+        terms *= mu
+        for i, x in enumerate(xs):
+            last = terms[x]
+            terms[x] *= 0.5
+            sums[i] = np.sum(terms[1:x + 1])
+            terms[x] = last
+    if not np.all(np.isfinite(sums)):
+        raise OverflowError(f"Perron sum at z = {complex(z)} overflows a double")
+    return sums
 
 
 # ---------------------------------------------------------------------------

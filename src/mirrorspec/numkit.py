@@ -193,8 +193,6 @@ def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:
     s = complex(s)
     if s == 1:
         raise DomainError("dirichlet_l is not evaluated at s = 1")
-    if q == 1:
-        return zeta(s)
     total = 0j
     for a in range(1, q + 1):
         ca = chi(a)

@@ -78,3 +78,28 @@ def _is_prime_trial(n: int) -> bool:
 def is_prime():
     """Trial-division primality: the oracle for the mirror-path sieve."""
     return _is_prime_trial
+
+
+def _mu_trial(n: int) -> int:
+    if n == 1:
+        return 1
+    count = 0
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            count += 1
+        else:
+            p += 1
+    if m > 1:
+        count += 1
+    return -1 if count % 2 else 1
+
+
+@pytest.fixture(scope="session")
+def mu_trial():
+    """Trial-division Moebius function: the oracle for the sieve."""
+    return _mu_trial

@@ -207,19 +207,18 @@ def test_criterion_7_theta_statistics():
 
 def test_criterion_8_perron_oracle(E1, perron_residue_series):
     t0 = time.monotonic()
-    basel_err = abs(models.perron_partial_sum(2.0, 10**6) - 6 / math.pi**2)
+    basel_err = abs(models.perron_partial_sum(2.0, [10**6])[0] - 6 / math.pi**2)
     z = 0.5 + 1j * E1
     xs = np.unique(np.round(np.logspace(3, 6, 12)).astype(int))
-    mods = [abs(models.perron_partial_sum(z, int(x))) for x in xs]
+    mods = np.abs(models.perron_partial_sum(z, xs))
     slope = float(np.polyfit(np.log(xs.astype(float)), mods, 1)[0])
     target = 1.0 / abs(float(mpmath.siegelz(E1, derivative=1)))
     slope_ok = abs(slope / target - 1.0) <= 0.25
     zeros50 = models.riemann_zeros(count=50)
-    resid_ratios = []
-    for x in (10**4, 10**5, 10**6):
-        direct = abs(models.perron_partial_sum(z, x))
-        series = abs(perron_residue_series(z, float(x), zeros50))
-        resid_ratios.append(series / direct)
+    checks = [10**4, 10**5, 10**6]
+    directs = np.abs(models.perron_partial_sum(z, checks))
+    resid_ratios = [abs(perron_residue_series(z, float(x), zeros50)) / direct
+                    for x, direct in zip(checks, directs)]
     resid_ok = all(abs(r - 1.0) <= 0.25 for r in resid_ratios)
     dt = time.monotonic() - t0
     ok = basel_err < 1e-3 and slope_ok and resid_ok and dt < 300

@@ -5,41 +5,35 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorspec import arith
 from mirrorspec.errors import DomainError
 
 
-def _mu_direct(n: int) -> int:
-    if n == 1:
-        return 1
-    count = 0
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            count += 1
-        else:
-            p += 1
-    if m > 1:
-        count += 1
-    return -1 if count % 2 else 1
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 31, 47, 97]
 
 
-def test_moebius_sieve_matches_direct():
-    table = arith.moebius_sieve(2000)
-    for n in range(1, 2001):
-        assert table[n] == _mu_direct(n), n
+@settings(max_examples=60)
+@given(st.one_of(
+    st.integers(1, 3),
+    st.builds(lambda p, d: p * p + d, st.sampled_from(_SMALL_PRIMES), st.integers(-1, 1)),
+    st.integers(4, 3000)))
+@example(2000)
+def test_moebius_sieve_matches_direct(mu_trial, limit):
+    # p^2 - 1, p^2 and p^2 + 1 put the top of the table on either side of
+    # the last sieving prime
+    mu = arith.moebius_sieve(limit)
+    assert mu.dtype == np.int8 and mu.shape == (limit + 1,) and mu[0] == 0
+    assert mu.tolist()[1:] == [mu_trial(n) for n in range(1, limit + 1)]
+    with pytest.raises(ValueError):  # read-only: the lru_cache shares it
+        mu[1] = 0
 
 
 def test_mertens_value():
     # Mertens function M(10^4) = -23 from the sieved table
-    assert int(arith.moebius_sieve(10_000).values[1:].sum()) == -23
+    assert int(arith.moebius_sieve(10_000)[1:].sum()) == -23
 
 
 _MU_LIMIT = 100_000
@@ -60,7 +54,7 @@ def test_moebius_divisor_sum(n):
     mu = arith.moebius_sieve(_MU_LIMIT)
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     divisors = set(small) | {n // d for d in small}
-    assert sum(mu[d] for d in divisors) == (1 if n == 1 else 0)
+    assert sum(int(mu[d]) for d in divisors) == (1 if n == 1 else 0)
 
 
 def test_euler_phi():
@@ -103,6 +97,21 @@ def test_characters_group_structure(q):
     # row orthogonality: sum over n of chi(n) vanishes except principal
     for chi in chars[1:]:
         assert abs(sum(chi(n) for n in range(1, q + 1))) < 1e-10
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 200))
+def test_conductor_is_the_least_period_over_the_units(q):
+    # brute force: the least d | q with chi(m) = chi(n) for all units m = n (mod d)
+    units = np.array([n for n in range(q) if math.gcd(n, q) == 1])
+    divisors = [d for d in range(1, q + 1) if q % d == 0]
+    for chi in arith.characters_mod(q):
+        vals = chi.table[units]
+        close = np.abs(vals[:, None] - vals[None, :]) < 1e-9
+        period = next(d for d in divisors
+                      if close[(units[:, None] - units[None, :]) % d == 0].all())
+        assert chi.conductor == period, (q, chi.index)
+        assert chi.primitive == (period == q)
 
 
 def test_character_conductor_and_primitivity():

@@ -9,12 +9,13 @@ import time
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mirrorspec
-from mirrorspec import cli, models, transfer
+from mirrorspec import arith, cli, models, transfer
 
 
 def run(argv, capsys):
@@ -150,6 +151,48 @@ def test_perron_rejects_kmax_over_sieve_budget_at_once(capsys):
                           "--kmax", "60000000", "--grid", "20"], capsys)
     assert code == 2 and out == "" and "sieve" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_perron_sieves_once_per_run(capsys):
+    arith.moebius_sieve.cache_clear()
+    code, out, _ = run(["perron", "--sigma", "0.5", "--emin", "14.13",
+                        "--kmax", "20000", "--grid", "20"], capsys)
+    assert code == 0 and len(out.splitlines()) == 21
+    assert arith.moebius_sieve.cache_info().misses == 1
+
+
+def test_perron_grid_zero_and_one(capsys):
+    code, out, _ = run(["perron", "--grid", "0"], capsys)
+    assert code == 0 and out == "x,re,im,modulus,log_x_fit\n"
+    code, out, _ = run(["perron", "--sigma", "2", "--emin", "0", "--grid", "1"], capsys)
+    assert code == 0
+    header, row = out.splitlines()
+    x, re_, im, modulus, fit = row.split(",")
+    # mu(1..10) = 1, -1, -1, 0, -1, 1, -1, 0, 0, 1; the last term is halved
+    mu = [1, -1, -1, 0, -1, 1, -1, 0, 0, 0.5]
+    want = math.fsum(m / n**2 for n, m in enumerate(mu, start=1))
+    assert x == "10" and fit == "0" and float(im) == 0.0
+    assert abs(float(re_) - want) < 1e-15
+
+
+def test_perron_overflow_exits_3_without_nan_rows(capsys):
+    # n^400 overflows a double from n = 6 on, and 0 * inf would be NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["perron", "--sigma", "-400", "--kmax", "1000",
+                              "--grid", "3"], capsys)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("numerical error:")
+
+
+def test_theta_of_zero_modulus_one_finds_the_riemann_zeros(capsys):
+    code, out, _ = run(["theta-of-zero", "--modulus", "1", "--char-index", "0",
+                        "--grid", "5"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5]
+    for n, E, _ in rows:
+        assert abs(float(E) - float(mpmath.zetazero(int(n)).imag)) < 1e-9, n
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

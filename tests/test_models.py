@@ -115,14 +115,27 @@ def test_l_function_zeros_and_theta_star(chi4):
 
 
 def test_perron_partial_sum_convergent_region():
-    got = models.perron_partial_sum(2.0, 200_000)
+    got = models.perron_partial_sum(2.0, [200_000])[0]
     assert abs(got - 6 / math.pi**2) < 1e-4
+
+
+def test_perron_partial_sum_matches_trial_division_sums(mu_trial, E1):
+    # each x of one call against its own half-weighted sum, built term by term
+    xs = [1, 2, 10, 37, 100, 997, 1000, 3000]
+    for z in (2.0, 0.5 + 1j * E1, -0.5 + 3j):
+        got = models.perron_partial_sum(z, xs)
+        for x, s in zip(xs, got):
+            terms = [mu_trial(n) * n ** -z for n in range(1, x + 1)]
+            terms[-1] *= 0.5
+            want = complex(math.fsum(t.real for t in terms),
+                           math.fsum(t.imag for t in terms))
+            assert abs(s - want) <= 1e-12 * abs(want), (z, x)
 
 
 def test_perron_residue_expansion_tracks_direct(zeros10, perron_residue_series):
     z = 2.0
     for x in (2000.0, 20000.0):
-        direct = models.perron_partial_sum(z, int(x))
+        direct = models.perron_partial_sum(z, [int(x)])[0]
         series = perron_residue_series(z, x, list(zeros10))
         assert abs(series - direct) < 0.05 * max(abs(direct), 0.1)
 
@@ -133,7 +146,7 @@ def test_perron_residue_expansion_double_pole_at_zero(E1, perron_residue_series)
     z = 0.5 + 1j * E1
     zeros50 = models.riemann_zeros(count=50)
     for x in (10**3, 10**4, 10**5, 10**6):
-        direct = models.perron_partial_sum(z, x)
+        direct = models.perron_partial_sum(z, [x])[0]
         series = perron_residue_series(z, float(x), zeros50)
         assert abs(series - direct) < 0.01 * abs(direct)
 
