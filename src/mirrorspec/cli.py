@@ -131,8 +131,6 @@ def cmd_amp_trace(args) -> int:
 
 
 def cmd_mirror_paths(args) -> int:
-    if args.n < 2:
-        raise DomainError("path targets start at n = 2")
     paths = mirrors.enumerate_paths(args.n, max_depth=args.max_depth)
     cols = ["path_id", "bounce_sequence", "tau", "tau_as_log_of"]
     rows = []
@@ -140,7 +138,8 @@ def cmd_mirror_paths(args) -> int:
         pt = mirrors.proper_time(p)
         rows.append((i, "-".join(str(b) for b in p.bounces), pt.tau,
                      f"{pt.numerator}/{pt.denominator}"))
-    verdict = mirrors.classify_integer(args.n, max_depth=args.max_depth)
+    # the direct ray is always a path, and n = a*b adds (a, 1, b) at depth 2
+    verdict = "prime" if len(paths) == 1 else "composite"
     rows.append(("summary", verdict, float(len(paths)), str(args.n)))
     _emit(args.out, args.format, cols, rows)
     return 0
@@ -243,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
         common(sp)
         sp.set_defaults(func=fn)
     sub.choices["mirror-paths"].add_argument("--n", type=int, required=True)
-    sub.choices["mirror-paths"].add_argument("--max-depth", type=int, default=4)
+    sub.choices["mirror-paths"].add_argument("--max-depth", type=at_least(2), default=4)
     sub.choices["xp-spectrum"].add_argument("--m-ell1", type=finite,
                                             default=2 * math.pi)
     return p

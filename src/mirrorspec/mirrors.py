@@ -5,11 +5,12 @@ A path of depth k bounces on interior mirrors n_1, ..., n_{2k-1} subject to
 the zig-zag ordering 1 < n_1 > n_2 < n_3 > ... > 1 (even positions may touch
 the boundary mirror 1). On the sqrt-spaced array the observer clock advances
 by log(prod odd-position / prod even-position), so integer targets
-tau = log n reduce to an exact rational divisibility search.
+tau = log n reduce to an exact integer divisibility search.
 
 Two exact facts prune that search:
-(1) along a path the running ratio grows strictly at every zig-zag
-    (each factor is odd/even > 1), so partial ratios above the target die;
+(1) along a path the running ratio p/q = prod odd / prod even grows strictly
+    at every zig-zag (each factor o/e is > 1), so a zig-zag (e, o) is kept
+    only while p o < n q e;
 (2) any multi-bounce path for target n uses only mirrors below n, hence the
     odd-position product cannot contain a prime factor of n larger than the
     mirror cap. In particular prime targets admit the single direct ray only.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import factorize
 from .errors import DomainError, InvalidPathError
@@ -63,67 +63,52 @@ def proper_time(path: MirrorPath) -> ProperTime:
     return ProperTime(numerator=num, denominator=den)
 
 
-def _search(n: int, max_depth: int, max_mirror: int, limit: int | None) -> list[MirrorPath]:
-    found: list[MirrorPath] = []
-    if n <= max_mirror:
-        found.append(MirrorPath((n,)))
-    if max_depth == 1 or (limit is not None and len(found) >= limit):
+def _search(n: int, max_depth: int, limit: int | None) -> list[MirrorPath]:
+    found = [MirrorPath((n,))]
+    if max_depth == 1:
         return found
 
-    cap = min(max_mirror, n - 1)  # fact (2): interior bounces stay below n
+    cap = n - 1  # fact (2): interior bounces stay below n
     if cap < 2 or factorize(n)[-1][0] > cap:
         return found
-    target = Fraction(n)
 
-    def closure(prefix: list[int], ratio: Fraction) -> bool:
-        """Final zig-zag (e, o) solved by divisibility: o/e = n/ratio."""
-        R = target / ratio
-        d = R.denominator
-        e_max = min(prefix[-1] - 1, int(cap / R))
-        for e in range(d, e_max + 1, d):
-            o = int(R * e)
-            found.append(MirrorPath(tuple(prefix) + (e, o)))
+    def closure(prefix: tuple[int, ...], p: int, q: int) -> bool:
+        """Final zig-zag (e, o) solved by divisibility: o/e = n q / p = a / b."""
+        g = math.gcd(n * q, p)
+        a, b = n * q // g, p // g
+        for e in range(b, min(prefix[-1] - 1, cap * b // a) + 1, b):
+            found.append(MirrorPath(prefix + (e, e * a // b)))
             if limit is not None and len(found) >= limit:
                 return True
         return False
 
-    def dfs(prefix: list[int], ratio: Fraction, pairs_left: int) -> bool:
+    def dfs(prefix: tuple[int, ...], p: int, q: int, pairs_left: int) -> bool:
+        """Extend the running ratio p/q by zig-zags (e, o) with p o < n q e."""
         if pairs_left == 1:
-            return closure(prefix, ratio)
+            return closure(prefix, p, q)
         for e in range(1, prefix[-1]):
-            r_e = ratio / e
-            for o in range(e + 1, cap + 1):
-                r = r_e * o
-                if r >= target:
-                    break
-                if dfs(prefix + [e, o], r, pairs_left - 1):
+            qe = q * e
+            for o in range(e + 1, min(cap, (n * qe - 1) // p) + 1):
+                if dfs(prefix + (e, o), p * o, qe, pairs_left - 1):
                     return True
         return False
 
     # iterative deepening so a secondary path (smallest-factor split at
     # depth 2) surfaces before any deep subtree is explored
     for k in range(2, max_depth + 1):
-        stop = False
         for first in range(2, cap + 1):
-            if dfs([first], Fraction(first), k - 1):
-                stop = True
-                break
-        if stop:
-            break
+            if dfs((first,), first, 1, k - 1):
+                return found
     return found
 
 
-def enumerate_paths(n: int, max_depth: int = 4, max_mirror: int | None = None) -> list[MirrorPath]:
+def enumerate_paths(n: int, max_depth: int = 4) -> list[MirrorPath]:
     """All bounce paths with tau = log n, lexicographically ordered."""
     if n < 2:
         raise DomainError("path targets start at n = 2")
     if max_depth < 1:
         raise DomainError("max_depth must be >= 1")
-    if max_mirror is None:
-        max_mirror = 4 * n
-    if max_mirror < n:
-        raise DomainError("max_mirror must be at least n")
-    found = _search(n, max_depth, max_mirror, limit=None)
+    found = _search(n, max_depth, limit=None)
     found.sort(key=lambda p: p.bounces)
     return found
 
@@ -139,5 +124,5 @@ def classify_integer(n: int, max_depth: int = 4) -> str:
         raise DomainError("classification needs max_depth >= 2")
     if n < 2:
         raise DomainError("classification starts at n = 2")
-    paths = _search(n, max_depth, 4 * n, limit=2)
+    paths = _search(n, max_depth, limit=2)
     return "prime" if len(paths) == 1 else "composite"

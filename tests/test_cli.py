@@ -296,13 +296,14 @@ def test_bch_norm_exact_at_tuned_phase(capsys):
     ["scan", "--emin", "nan"],
     ["scan", "--epsilon", "-inf"],
     ["xp-spectrum", "--m-ell1", "nan"],
+    ["mirror-paths", "--n", "4", "--max-depth", "1"],
 ])
 def test_bad_numeric_input_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
-    assert f"argument {argv[1]}:" in err and "Traceback" not in err
+    assert f"argument {argv[-2]}:" in err and "Traceback" not in err
 
 
 _energy = st.floats(0.0, 30.0)

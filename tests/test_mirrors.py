@@ -5,8 +5,42 @@ from fractions import Fraction
 
 import pytest
 
-from mirrorspec import mirrors
+from mirrorspec import arith, mirrors
 from mirrorspec.errors import DomainError, InvalidPathError
+
+
+def _reference_paths(n: int, max_depth: int) -> list[list[tuple[int, ...]]]:
+    """The search on Fractions, in discovery order: iterative deepening, a
+    DFS that stops a zig-zag once the running ratio reaches n, and the final
+    zig-zag solved as o/e = n/ratio. Entry d - 1 holds the paths found with
+    max_depth = d, for d = 1..max_depth."""
+    found = [(n,)]
+    by_depth = [list(found)]
+    cap = n - 1
+    if cap < 2 or arith.factorize(n)[-1][0] > cap:
+        return by_depth * max_depth
+    target = Fraction(n)
+
+    def dfs(prefix: list[int], ratio: Fraction, pairs_left: int) -> None:
+        if pairs_left == 1:
+            R = target / ratio
+            d = R.denominator
+            for e in range(d, min(prefix[-1] - 1, int(cap / R)) + 1, d):
+                found.append(tuple(prefix) + (e, int(R * e)))
+            return
+        for e in range(1, prefix[-1]):
+            r_e = ratio / e
+            for o in range(e + 1, cap + 1):
+                r = r_e * o
+                if r >= target:
+                    break
+                dfs(prefix + [e, o], r, pairs_left - 1)
+
+    for k in range(2, max_depth + 1):
+        for first in range(2, cap + 1):
+            dfs([first], Fraction(first), k - 1)
+        by_depth.append(list(found))
+    return by_depth
 
 
 def test_path_validation():
@@ -49,8 +83,19 @@ def test_enumerate_known_sets():
 
 def test_every_path_reproduces_target():
     for n in (12, 30, 97):
-        for p in mirrors.enumerate_paths(n, max_depth=4):
+        for p in mirrors.enumerate_paths(n, max_depth=5):
             assert _ratio(p) == Fraction(n, 1)
+
+
+def test_search_matches_fraction_reference():
+    # the reference needs 6.6 s more for n = 30..40 and 48 at depth 4
+    top = {n: 5 if n <= 24 else 4 if n < 30 else 3 for n in [*range(2, 41), 48]}
+    for n, max_depth in top.items():
+        for d, want in enumerate(_reference_paths(n, max_depth), start=1):
+            got = [p.bounces for p in mirrors.enumerate_paths(n, max_depth=d)]
+            assert got == sorted(want), (n, d)
+            first_two = [p.bounces for p in mirrors._search(n, d, limit=2)]
+            assert first_two == want[:2], (n, d)
 
 
 def test_primes_have_single_ray(is_prime):

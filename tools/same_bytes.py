@@ -55,6 +55,10 @@ EXTRA = [
       for q, indices in PRIMITIVE.items() for i in indices),
     *(f"theta-of-zero --modulus {q} --char-index 1 --grid 40" for q in (3, 4, 5, 7, 8)),
     "zeros --modulus 1 --char-index 0 --emax 40",
+    "mirror-paths --n 60",
+    "mirror-paths --n 24 --max-depth 5",
+    "mirror-paths --n 36 --format json",
+    "mirror-paths --n 97",
 ]
 # README and BENCHMARK share the two zero tables
 COMMANDS = list(dict.fromkeys(README + BENCHMARK + EXTRA))
