@@ -173,9 +173,11 @@ def characters_mod(q: int) -> list[DirichletCharacter]:
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:
-    """sum_{n=1..q} chi(n) exp(2 pi i n / q); modulus sqrt(q) for primitive chi."""
+    """sum_{n=0..q-1} chi(n) exp(2 pi i n / q); modulus sqrt(q) for primitive
+    chi. Starting at n = 0 keeps exp(2 pi i) out of the sum, so the character
+    mod 1 has a Gauss sum of exactly 1."""
     q = chi.modulus
     total = 0j
-    for n in range(1, q + 1):
+    for n in range(q):
         total += chi(n) * cmath.exp(2j * math.pi * n / q)
     return total

@@ -92,21 +92,15 @@ def cmd_scan(args) -> int:
 def cmd_zeros(args) -> int:
     if args.emax > 1e4:
         raise DomainError("zero tables are certified only up to ordinate 1e4")
-    chi = _character(args)
-    if chi is None:
-        zs = models.riemann_zeros(t_max=args.emax)
-        expected = numkit.smoothed_zero_count(args.emax)
-        if len(zs) < expected - 2:
-            raise BracketError(
-                f"found {len(zs)} zeros below {args.emax}, expected ~{expected:.1f}")
-        rows = [(n, E, models.z_prime_sign(n), numkit.riemann_siegel_theta(E),
-                 models.theta_star_riemann(n, E))
-                for n, E in enumerate(zs, start=1)]
-    else:
-        zs = models.l_function_zeros(chi, t_max=args.emax)
-        rows = [(n, E, models.z_prime_sign(n, chi), numkit.l_theta(E, chi),
-                 models.theta_star_dirichlet(chi, n, E))
-                for n, E in enumerate(zs, start=1)]
+    chi = _character(args) or characters_mod(1)[0]
+    zs = models.critical_zeros(chi, t_max=args.emax)
+    expected = models.zero_count(chi, args.emax)
+    if len(zs) < expected - 2:
+        raise BracketError(
+            f"found {len(zs)} zeros below {args.emax}, expected ~{expected:.1f}")
+    rows = [(n, E, models.z_prime_sign(n, chi), numkit.l_theta(E, chi),
+             models.theta_star(chi, n, E))
+            for n, E in enumerate(zs, start=1)]
     cols = ["n", "E_n", "Zprime_sign", "theta_at_zero", "vartheta_star"]
     _emit(args.out, args.format, cols, rows)
     return 0
@@ -158,17 +152,10 @@ def cmd_xp_spectrum(args) -> int:
 
 
 def cmd_theta_of_zero(args) -> int:
-    chi = _character(args)
-    count = args.grid
+    chi = _character(args) or characters_mod(1)[0]
+    zs = models.critical_zeros(chi, count=args.grid)
     cols = ["n", "E_n", "vartheta_star"]
-    if chi is None:
-        zs = models.riemann_zeros(count=count)
-        rows = [(n, E, models.theta_star_riemann(n, E))
-                for n, E in enumerate(zs, start=1)]
-    else:
-        zs = models.l_function_zeros(chi, count=count)
-        rows = [(n, E, models.theta_star_dirichlet(chi, n, E))
-                for n, E in enumerate(zs, start=1)]
+    rows = [(n, E, models.theta_star(chi, n, E)) for n, E in enumerate(zs, start=1)]
     _emit(args.out, args.format, cols, rows)
     return 0
 

@@ -87,23 +87,13 @@ def _wrap_pi(x: float) -> float:
     return y - math.pi
 
 
-def theta_star_riemann(n: int, E_n: float) -> float:
-    """Boundary phase that turns the n-th zero ordinate into a decaying state:
-    vartheta/pi = n + sign(n)/2 - theta(E_n)/pi, wrapped to (-pi, pi]."""
+def theta_star(chi: DirichletCharacter, n: int, E_n: float) -> float:
+    """Boundary phase that turns the n-th critical-line ordinate of L(s, chi)
+    into a decaying state: vartheta/pi = n + (1 + b + sign n)/2 -
+    theta_chi(E_n)/pi, wrapped to (-pi, pi], with b = central_sign(chi). For
+    zeta (b = -1) this is n + sign(n)/2 - theta(E_n)/pi."""
     if n == 0:
         raise DomainError("zero labels are nonzero integers")
-    raw = math.pi * (n + 0.5 * math.copysign(1, n)) - numkit.riemann_siegel_theta(E_n)
-    return _wrap_pi(raw)
-
-
-def theta_star_dirichlet(chi: DirichletCharacter, n: int, E_n: float) -> float:
-    """Boundary phase for the n-th critical-line ordinate of L(s, chi):
-    vartheta/pi = n + (1 + b + sign n)/2 - theta_chi(E_n)/pi with
-    b = sign of the central value Z_chi(0)."""
-    if n == 0:
-        raise DomainError("zero labels are nonzero integers")
-    if not chi.primitive:
-        raise DomainError("boundary-phase formula requires a primitive character")
     b = central_sign(chi)
     raw = (math.pi * (n + 0.5 * (1 + b + math.copysign(1, n)))
            - numkit.l_theta(E_n, chi))
@@ -113,60 +103,58 @@ def theta_star_dirichlet(chi: DirichletCharacter, n: int, E_n: float) -> float:
 @lru_cache(maxsize=64)
 def central_sign(chi: DirichletCharacter) -> int:
     """Sign of Z_chi at the center of the critical line (-1 for zeta)."""
-    z = numkit.l_phase_split(0.0, chi).z
-    return 1 if z.real >= 0 else -1
+    return 1 if numkit.hardy_z(0.0, chi) >= 0 else -1
 
 
-def z_prime_sign(n: int, chi: DirichletCharacter | None = None) -> int:
-    """Sign of Z'(E_n) at the n-th zero of zeta, or of Re Z_chi' for L(s, chi).
+def z_prime_sign(n: int, chi: DirichletCharacter) -> int:
+    """Sign of Z_chi'(E_n) at the n-th critical-line zero of L(s, chi).
 
-    Z starts at the center with sign b (-1 for zeta, central_sign(chi) for
-    L) and every simple zero flips it, so Z' at the n-th zero has sign
-    b (-1)^n; the mirrored zero -n carries the opposite sign.
+    Z_chi starts at the center with sign b = central_sign(chi) and every
+    simple zero flips it, so Z_chi' at the n-th zero has sign b (-1)^n; the
+    mirrored zero -n carries the opposite sign.
     """
     if n == 0:
         raise DomainError("zero labels are nonzero integers")
-    b = -1 if chi is None else central_sign(chi)
-    return b * (-1) ** abs(n) * (1 if n > 0 else -1)
+    return central_sign(chi) * (-1) ** abs(n) * (1 if n > 0 else -1)
 
 
 # ---------------------------------------------------------------------------
-# zero tables (self-computed by sign-change bisection of the real section)
+# zero tables (self-computed by sign-change bisection of Z_chi)
 
-def _zeros_upto(f, t_start: float, step_fn, theta, count: int | None,
-                t_max: float | None) -> list[float]:
-    """Sign-change roots of f up to t_max, or the first `count` of them; for
-    a count, t grows until the mean zero count theta(t)/pi + 1 reaches
-    count + 3."""
+def zero_count(chi: DirichletCharacter, t: float) -> float:
+    """Mean number of critical-line zeros of L(s, chi) with ordinate in (0, t]:
+    (theta_chi(t) - theta_chi(0))/pi, plus 1 for zeta, whose pole at s = 1
+    adds one to the argument principle count."""
+    pole = 1.0 if chi.modulus == 1 else 0.0
+    return (numkit.l_theta(t, chi) - numkit.l_theta(0.0, chi)) / math.pi + pole
+
+
+def _zeta_step(t: float) -> float:
+    return max(0.05, 0.25 * 2 * math.pi / math.log(max(t, 10.0) / (2 * math.pi) + 2.0))
+
+
+def critical_zeros(chi: DirichletCharacter, count: int | None = None,
+                   t_max: float | None = None) -> list[float]:
+    """Positive ordinates of the critical-line zeros of L(s, chi), zeta for
+    the character mod 1, from sign changes of Z_chi: all up to t_max, or the
+    first `count`, with t grown until zero_count reaches count + 3.
+
+    The scan grid is per family: zeta's quarter mean spacing from t = 2, and
+    steps of 0.2 from t = 0.05 for L, whose first zero can lie below 2."""
     if count is None and t_max is None:
         raise DomainError("give count or t_max")
     if t_max is None:
         t_max = 10.0
-        while theta(t_max) / math.pi + 1.0 < count + 3:
+        while zero_count(chi, t_max) < count + 3:
             t_max *= 1.3
-    roots = [r for r, _ in numkit.scan_roots(f, t_start, t_max, step_fn)]
+    t_start, step = (2.0, _zeta_step) if chi.modulus == 1 else (0.05, lambda t: 0.2)
+    roots = [r for r, _ in numkit.scan_roots(lambda t: numkit.hardy_z(t, chi),
+                                             t_start, t_max, step)]
     if count is not None:
         if len(roots) < count:
             raise BracketError(f"found {len(roots)} zeros, wanted {count}")
         roots = roots[:count]
     return roots
-
-
-def riemann_zeros(count: int | None = None, t_max: float | None = None) -> list[float]:
-    """Positive ordinates of the critical-line zeros, by Hardy-Z bisection."""
-    def step(t):
-        return max(0.05, 0.25 * 2 * math.pi / math.log(max(t, 10.0) / (2 * math.pi) + 2.0))
-    return _zeros_upto(numkit.hardy_z, 2.0, step, numkit.riemann_siegel_theta,
-                       count, t_max)
-
-
-def l_function_zeros(chi: DirichletCharacter, count: int | None = None,
-                     t_max: float | None = None) -> list[float]:
-    """Positive ordinates of critical-line zeros of L(s, chi), via the real
-    section of the phase-split L value."""
-    return _zeros_upto(lambda t: numkit.l_phase_split(t, chi).z.real, 0.05,
-                       lambda t: 0.2, lambda t: numkit.l_theta(t, chi),
-                       count, t_max)
 
 
 # ---------------------------------------------------------------------------

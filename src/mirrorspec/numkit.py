@@ -1,8 +1,8 @@
 """Special-function kernel: zeta and Hurwitz zeta off the critical line,
-log Gamma, the Riemann-Siegel theta and Hardy Z, modified Bessel functions
-of complex order, Dirichlet L-functions with their completed phases, and the
-sign-change root scan with its Brent refinement that the zero tables and the
-boundary spectrum share.
+log Gamma, modified Bessel functions of complex order, Dirichlet L-functions
+with their phase theta_chi and Hardy function Z_chi on the critical line
+(zeta is L of the character mod 1), and the sign-change root scan with its
+Brent refinement that the zero tables and the boundary spectrum share.
 
 Everything here is double precision; K of complex order comes from
 mpmath.besselk, rounded to a complex double.
@@ -14,7 +14,7 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -85,26 +85,6 @@ def loggamma(z: complex) -> complex:
     for c in _STIRLING:
         series = series * rzz + c
     return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + rz * series - shift
-
-
-def riemann_siegel_theta(t: float) -> float:
-    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi."""
-    return loggamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
-
-
-def smoothed_zero_count(t: float) -> float:
-    """Mean zero-counting function theta(t)/pi + 1 on the critical line."""
-    return riemann_siegel_theta(t) / math.pi + 1.0
-
-
-def hardy_z(t: float) -> float:
-    """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it), real on the critical line;
-    warns when the imaginary residue shows lost accuracy."""
-    z = cmath.exp(1j * riemann_siegel_theta(t)) * zeta(0.5 + 1j * t)
-    if abs(z.imag) > 1e-8 * max(1.0, abs(z.real)):
-        warnings.warn(f"Hardy Z(t) imaginary residue {z.imag:.3e} at t={t}",
-                      AccuracyLossWarning, stacklevel=2)
-    return z.real
 
 
 def bessel_k_complex_order(nu: complex, x: float) -> complex:
@@ -201,42 +181,29 @@ def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:
     return complex(total * q ** (-s))
 
 
-@dataclass(frozen=True)
-class LFunctionPair:
-    """Split L(1/2 + it, chi) = Z_chi(t) exp(-i theta_chi(t)).
-
-    Z_chi is real for even characters and for odd real ones; in general the
-    functional equation only guarantees Z_chi(-t) = conj(Z_chi(t)) up to the
-    fixed root-number phase stored in eps_chi, which satisfies
-    exp(2i (theta_chi(t) + theta_chi(-t))) = exp(-i eps_chi).
-    """
-
-    t: float
-    theta: float
-    z: complex
-    eps_chi: float
-
-
-def l_phase_split(t: float, chi: DirichletCharacter) -> LFunctionPair:
-    """Completed-phase split of L on the critical line for primitive chi."""
+@lru_cache(maxsize=64)
+def _root_number_arg(chi: DirichletCharacter) -> float:
+    """eps_chi / 2, the argument of the root number i^-a tau(chi) / sqrt(q)."""
     if not chi.primitive:
-        raise DomainError(f"phase split requires a primitive character (q={chi.modulus})")
-    theta, eps_half = _l_theta(t, chi)
-    z = cmath.exp(1j * theta) * dirichlet_l(0.5 + 1j * t, chi)
-    return LFunctionPair(t=t, theta=theta, z=z, eps_chi=2.0 * eps_half)
-
-
-def _l_theta(t: float, chi: DirichletCharacter) -> tuple[float, float]:
-    """theta_chi(t) and half the root-number phase, eps_chi / 2."""
-    q = chi.modulus
-    a = chi.parity
-    root = (1j) ** (-a) * gauss_sum(chi) / math.sqrt(q)
-    eps_half = cmath.phase(root)
-    theta = (loggamma((1 + 2 * a) / 4 + 0.5j * t).imag
-             - 0.5 * t * math.log(math.pi / q) - 0.5 * eps_half)
-    return theta, eps_half
+        raise DomainError(f"theta_chi requires a primitive character (q={chi.modulus})")
+    return cmath.phase((1j) ** (-chi.parity) * gauss_sum(chi) / math.sqrt(chi.modulus))
 
 
 def l_theta(t: float, chi: DirichletCharacter) -> float:
-    """theta_chi(t) without evaluating L itself."""
-    return _l_theta(t, chi)[0]
+    """theta_chi(t) = Im log Gamma((1 + 2a)/4 + it/2) - (t/2) log(pi/q) - eps_chi/4
+    for primitive chi of parity a, with exp(2i (theta_chi(t) + theta_chi(-t)))
+    = exp(-i eps_chi). For the character mod 1 it is the Riemann-Siegel theta."""
+    return (loggamma((1 + 2 * chi.parity) / 4 + 0.5j * t).imag
+            - 0.5 * t * math.log(math.pi / chi.modulus) - 0.5 * _root_number_arg(chi))
+
+
+def hardy_z(t: float, chi: DirichletCharacter) -> float:
+    """Z_chi(t) = exp(i theta_chi(t)) L(1/2 + it, chi), Hardy's Z for the
+    character mod 1. The functional equation makes Z_chi real for every
+    primitive chi, odd complex ones included; warns when the imaginary
+    residue shows lost accuracy."""
+    z = cmath.exp(1j * l_theta(t, chi)) * dirichlet_l(0.5 + 1j * t, chi)
+    if abs(z.imag) > 1e-8 * max(1.0, abs(z.real)):
+        warnings.warn(f"Z_chi(t) imaginary residue {z.imag:.3e} at t={t} "
+                      f"(q={chi.modulus})", AccuracyLossWarning, stacklevel=2)
+    return z.real

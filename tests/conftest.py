@@ -14,8 +14,14 @@ settings.load_profile("mirrorspec")
 
 
 @pytest.fixture(scope="session")
-def zeros10():
-    return models.riemann_zeros(count=10)
+def chi1():
+    """The character mod 1, whose L-function is zeta."""
+    return characters_mod(1)[0]
+
+
+@pytest.fixture(scope="session")
+def zeros10(chi1):
+    return models.critical_zeros(chi1, count=10)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ Each test prints exactly one PASS/FAIL line for its criterion, with the
 measured quantities, then asserts at the stated tolerances.
 """
 
+import cmath
 import math
 import time
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from mirrorspec import boundary_spectrum as bs
 from mirrorspec import mirrors, models, numkit, transfer
-from mirrorspec.arith import characters_mod
+from mirrorspec.arith import characters_mod, gauss_sum
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -20,13 +21,13 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_1_zeta_hardy_machinery():
+def test_criterion_1_zeta_hardy_machinery(chi1):
     t0 = time.monotonic()
     zeta2_err = abs(numkit.zeta(2.0).real - math.pi**2 / 6)
-    zs = models.riemann_zeros(t_max=100.0)
+    zs = models.critical_zeros(chi1, t_max=100.0)
     e1_err = abs(zs[0] - 14.1347)
     count = len(zs)
-    fluct = abs(count - numkit.smoothed_zero_count(100.0))
+    fluct = abs(count - models.zero_count(chi1, 100.0))
     dt = time.monotonic() - t0
     ok = (zeta2_err < 1e-10 and e1_err < 1e-3 and count == 29
           and fluct < 2 and dt < 10)
@@ -143,10 +144,10 @@ def test_criterion_5_bch_order():
             f" (window [2.5, 6]), {dt:.1f}s")
 
 
-def test_criterion_6_riemann_model_at_zeros(E1):
+def test_criterion_6_riemann_model_at_zeros(E1, chi1):
     t0 = time.monotonic()
     m = models.ModelSpec("riemann", epsilon=0.25, sigma=0.5)
-    th1 = models.theta_star_riemann(1, E1)
+    th1 = models.theta_star(chi1, 1, E1)
     rep = models.classify_energy(m, E1, th1, K_max=2000)
     decay_ok = rep.verdict == "DiscreteCandidate" and rep.ci[1] < 0
     m5 = models.ModelSpec("riemann", epsilon=0.5, sigma=0.5)
@@ -193,10 +194,10 @@ def test_criterion_6_riemann_model_at_zeros(E1):
             f"{norm / zeta_target:.2f}), {dt:.1f}s")
 
 
-def test_criterion_7_theta_statistics():
+def test_criterion_7_theta_statistics(chi1):
     t0 = time.monotonic()
-    zs = models.riemann_zeros(count=1000)
-    ths = np.array([models.theta_star_riemann(n, E)
+    zs = models.critical_zeros(chi1, count=1000)
+    ths = np.array([models.theta_star(chi1, n, E)
                     for n, E in enumerate(zs, start=1)])
     frac = float(np.mean(np.abs(ths) < math.pi / 2))
     dt = time.monotonic() - t0
@@ -205,7 +206,7 @@ def test_criterion_7_theta_statistics():
                    f"over 1000 zeros (need > 60%), {dt:.1f}s")
 
 
-def test_criterion_8_perron_oracle(E1, perron_residue_series):
+def test_criterion_8_perron_oracle(E1, chi1, perron_residue_series):
     t0 = time.monotonic()
     basel_err = abs(models.perron_partial_sum(2.0, [10**6])[0] - 6 / math.pi**2)
     z = 0.5 + 1j * E1
@@ -214,7 +215,7 @@ def test_criterion_8_perron_oracle(E1, perron_residue_series):
     slope = float(np.polyfit(np.log(xs.astype(float)), mods, 1)[0])
     target = 1.0 / abs(float(mpmath.siegelz(E1, derivative=1)))
     slope_ok = abs(slope / target - 1.0) <= 0.25
-    zeros50 = models.riemann_zeros(count=50)
+    zeros50 = models.critical_zeros(chi1, count=50)
     checks = [10**4, 10**5, 10**6]
     directs = np.abs(models.perron_partial_sum(z, checks))
     resid_ratios = [abs(perron_residue_series(z, float(x), zeros50)) / direct
@@ -251,14 +252,15 @@ def test_criterion_10_dirichlet_extension(chi4):
             if not chi.primitive:
                 continue
             nchars += 1
+            # the root number i^-a tau(chi) / sqrt(q) has phase eps_chi / 2
+            rhs = np.exp(-2j * cmath.phase((1j) ** (-chi.parity) * gauss_sum(chi)))
             for t in np.linspace(0.5, 50.0, 100):
                 lhs = np.exp(2j * (numkit.l_theta(float(t), chi)
                                    + numkit.l_theta(float(-t), chi)))
-                rhs = np.exp(-1j * numkit.l_phase_split(float(t), chi).eps_chi)
                 worst = max(worst, abs(lhs - rhs))
-    z1 = models.l_function_zeros(chi4, count=1)[0]
+    z1 = models.critical_zeros(chi4, count=1)[0]
     near_ok = abs(z1 - 6.02) < 0.01
-    th = models.theta_star_dirichlet(chi4, 1, z1)
+    th = models.theta_star(chi4, 1, z1)
     md = models.ModelSpec("dirichlet", epsilon=0.25, sigma=0.5, character=chi4)
     verdict = models.classify_energy(md, z1, th, K_max=2000).verdict
     dt = time.monotonic() - t0

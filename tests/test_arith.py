@@ -150,6 +150,27 @@ def test_gauss_sum_quadratic_exact(chi4):
     assert abs(arith.gauss_sum(chi4) - 2j) < 1e-12
 
 
+def test_gauss_sum_of_the_character_mod_one_is_one(chi1):
+    # n = 1..q would leave exp(2 pi i) = 1 - 2.4e-16 i in zeta's root number
+    assert arith.gauss_sum(chi1) == 1
+
+
+def test_gauss_sum_matches_the_one_to_q_loop():
+    # for q >= 2 the n = 0 and n = q terms are both chi(0) = 0, so summing
+    # n = 0..q-1 leaves every bit of the n = 1..q sum in place
+    def gauss_1_to_q(chi):
+        total = 0j
+        for n in range(1, chi.modulus + 1):
+            total += chi(n) * cmath.exp(2j * math.pi * n / chi.modulus)
+        return total
+
+    for q in range(2, 61):
+        for chi in arith.characters_mod(q):
+            got, want = arith.gauss_sum(chi), gauss_1_to_q(chi)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), \
+                (q, chi.index)
+
+
 def test_primitive_characters_q_max():
     # every character mod q is induced by exactly one primitive character of
     # conductor d | q, so the primitive counts p(d) satisfy sum_{d|q} p(d) =

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from mirrorspec import boundary_spectrum as bs
-from mirrorspec import numkit
+from mirrorspec import models
 from mirrorspec.errors import BracketError, DomainError
 
 
@@ -78,8 +78,8 @@ def test_counting_estimate_rejects_nonpositive():
         bs.counting_estimate(bs.BoundaryProblem(), 0.0)
 
 
-def test_average_zero_count_scaling():
+def test_average_zero_count_scaling(chi1):
     # under E = t/2 the boundary count tracks the zeta average to O(1)
     t = 60.0
     assert abs(bs.counting_estimate(bs.BoundaryProblem(vartheta=math.pi), t / 2)
-               - numkit.smoothed_zero_count(t)) < 2.0
+               - models.zero_count(chi1, t)) < 2.0

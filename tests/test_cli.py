@@ -193,6 +193,31 @@ def test_theta_of_zero_modulus_one_finds_the_riemann_zeros(capsys):
     assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5]
     for n, E, _ in rows:
         assert abs(float(E) - float(mpmath.zetazero(int(n)).imag)) < 1e-9, n
+    # the character mod 1 is zeta: both zero commands print zeta's bytes
+    assert run(["theta-of-zero", "--grid", "5"], capsys) == (0, out, "")
+    mod_one = run(["zeros", "--modulus", "1", "--char-index", "0", "--emax", "40"], capsys)
+    assert mod_one == run(["zeros", "--emax", "40"], capsys) and mod_one[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    # each misses a close pair that the 0.2 grid steps over: 73.2700 and
+    # 73.3986, 246.3028 and 246.4149, 400.6929 and 400.8264
+    ["--modulus", "11", "--char-index", "3", "--emax", "100"],
+    ["--modulus", "3", "--char-index", "1", "--emax", "300"],
+    ["--modulus", "4", "--char-index", "1", "--emax", "1000"],
+])
+def test_zeros_with_a_missed_pair_exit_3(argv, capsys):
+    code, out, err = run(["zeros", *argv], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical error:") and err.count("\n") == 1
+
+
+def test_zero_count_check_does_not_count_zetas_pole_for_l(capsys):
+    # 23 zeros against theta_chi(40)/pi + 1 - 2 = 23.04: the count check
+    # would refuse this table if it added zeta's pole term for L
+    code, out, _ = run(["zeros", "--modulus", "17", "--char-index", "5",
+                        "--emax", "40"], capsys)
+    assert code == 0 and len(out.splitlines()) == 24
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

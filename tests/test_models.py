@@ -69,16 +69,17 @@ def test_riemann_zeros_known_ordinates(zeros10):
     assert all(b > a for a, b in zip(zeros10, zeros10[1:]))
 
 
-def test_zero_ordinates_are_hardy_z_roots(zeros10):
+def test_zero_ordinates_are_hardy_z_roots(zeros10, chi1):
     for E in zeros10[:5]:
-        assert abs(numkit.hardy_z(E)) < 1e-8
+        assert abs(numkit.hardy_z(E, chi1)) < 1e-8
 
 
-def test_z_prime_sign_alternates(zeros10):
+def test_z_prime_sign_alternates(zeros10, chi1):
     for n, E in enumerate(zeros10, start=1):
-        assert models.z_prime_sign(n) == (1 if mpmath.siegelz(E, derivative=1) > 0 else -1)
+        assert models.z_prime_sign(n, chi1) == (
+            1 if mpmath.siegelz(E, derivative=1) > 0 else -1)
     # Z is even, so Z' is odd: the mirrored zero carries the opposite sign
-    assert models.z_prime_sign(-1) == -models.z_prime_sign(1)
+    assert models.z_prime_sign(-1, chi1) == -models.z_prime_sign(1, chi1)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
@@ -87,15 +88,18 @@ def test_z_prime_sign_dirichlet_matches_finite_difference(q):
     from mirrorspec.arith import characters_mod
     h = 1e-5
     for chi in (c for c in characters_mod(q) if c.primitive):
-        z = lambda t: numkit.l_phase_split(t, chi).z.real
-        for n, E in enumerate(models.l_function_zeros(chi, count=5), start=1):
+        z = lambda t: numkit.hardy_z(t, chi)
+        for n, E in enumerate(models.critical_zeros(chi, count=5), start=1):
             fd = 1 if z(E + h) - z(E - h) > 0 else -1
             assert models.z_prime_sign(n, chi) == fd, (q, chi.index, n)
 
 
-def test_theta_star_wrap_and_decay_phase(E1):
-    th = models.theta_star_riemann(1, E1)
+def test_theta_star_wrap_and_decay_phase(E1, chi1):
+    th = models.theta_star(chi1, 1, E1)
     assert -math.pi < th <= math.pi
+    # zeta's phase is pi (n + sign(n)/2) - theta(E_n): b = -1 drops out
+    want = 1.5 * math.pi - float(mpmath.siegeltheta(E1))
+    assert abs(cmath.exp(1j * th) - cmath.exp(1j * want)) < 1e-12
     # the tuned phase really aligns the semiclassical phase: cos(Phi - th) -> 1
     m = models.ModelSpec("riemann", epsilon=0.25, sigma=0.5)
     sums = transfer.semiclassical_sums(m, E1, 2000)
@@ -104,9 +108,9 @@ def test_theta_star_wrap_and_decay_phase(E1):
 
 
 def test_l_function_zeros_and_theta_star(chi4):
-    zs = models.l_function_zeros(chi4, count=2)
+    zs = models.critical_zeros(chi4, count=2)
     assert abs(zs[0] - 6.0209489) < 1e-5
-    th = models.theta_star_dirichlet(chi4, 1, zs[0])
+    th = models.theta_star(chi4, 1, zs[0])
     assert -math.pi < th <= math.pi
     md = models.ModelSpec("dirichlet", epsilon=0.25, sigma=0.5, character=chi4)
     sums = transfer.semiclassical_sums(md, zs[0], 2000)
@@ -140,11 +144,11 @@ def test_perron_residue_expansion_tracks_direct(zeros10, perron_residue_series):
         assert abs(series - direct) < 0.05 * max(abs(direct), 0.1)
 
 
-def test_perron_residue_expansion_double_pole_at_zero(E1, perron_residue_series):
+def test_perron_residue_expansion_double_pole_at_zero(E1, chi1, perron_residue_series):
     # at z = rho_1 the leading residue is log(x)/zeta' - zeta''/(2 zeta'^2);
     # dropping the constant leaves a 3-6% error over this range
     z = 0.5 + 1j * E1
-    zeros50 = models.riemann_zeros(count=50)
+    zeros50 = models.critical_zeros(chi1, count=50)
     for x in (10**3, 10**4, 10**5, 10**6):
         direct = models.perron_partial_sum(z, [x])[0]
         series = perron_residue_series(z, float(x), zeros50)
@@ -182,9 +186,9 @@ def test_classify_in_gap_tuned_bound_state():
     assert r.verdict == "DiscreteCandidate"
 
 
-def test_classify_riemann_first_zero(E1):
+def test_classify_riemann_first_zero(E1, chi1):
     m = models.ModelSpec("riemann", epsilon=0.25, sigma=0.5)
-    th = models.theta_star_riemann(1, E1)
+    th = models.theta_star(chi1, 1, E1)
     r = models.classify_energy(m, E1, th, K_max=2000)
     assert r.verdict == "DiscreteCandidate"
     assert r.ci[1] < 0
@@ -239,5 +243,4 @@ def test_central_sign_negative_for_even_quadratic():
     from mirrorspec.arith import characters_mod
     chi4 = next(c for c in characters_mod(4) if not c.is_principal)
     assert models.central_sign(chi4) in (-1, 1)
-    assert models.central_sign(chi4) == (
-        1 if numkit.l_phase_split(0.0, chi4).z.real >= 0 else -1)
+    assert models.central_sign(chi4) == (1 if numkit.hardy_z(0.0, chi4) >= 0 else -1)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirrorspec import models, numkit
-from mirrorspec.errors import BracketError, DomainError, PoleError
+from mirrorspec import arith, models, numkit
+from mirrorspec.errors import AccuracyLossWarning, BracketError, DomainError, PoleError
 
 
 def _mp(z):
@@ -46,28 +47,44 @@ def test_zeta_two_closed_form():
 
 
 @pytest.mark.parametrize("t", [14.0, 100.5, 500.25])
-def test_riemann_siegel_theta_and_hardy_z(t):
-    assert abs(numkit.riemann_siegel_theta(t) - float(mpmath.siegeltheta(t))) < 1e-9
-    assert abs(numkit.hardy_z(t) - float(mpmath.siegelz(t))) < 1e-8
+def test_riemann_siegel_theta_and_hardy_z(t, chi1):
+    assert abs(numkit.l_theta(t, chi1) - float(mpmath.siegeltheta(t))) < 1e-9
+    assert abs(numkit.hardy_z(t, chi1) - float(mpmath.siegelz(t))) < 1e-8
 
 
-def test_riemann_siegel_pair_reconstructs_zeta():
+def test_character_mod_one_is_bitwise_riemann_siegel(chi1):
+    # the Riemann-Siegel theta and Hardy Z as written for zeta alone, before
+    # zeta became the character mod 1: the general theta_chi and Z_chi must
+    # reproduce them to the last bit
+    def theta(t):
+        return numkit.loggamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
+
+    def hardy_z(t):
+        return (cmath.exp(1j * theta(t)) * numkit.zeta(0.5 + 1j * t)).real
+
+    for t in np.linspace(2.0, 1500.0, 400):
+        t = float(t)
+        assert numkit.l_theta(t, chi1) == theta(t), t
+        assert numkit.hardy_z(t, chi1) == hardy_z(t), t
+
+
+def test_riemann_siegel_pair_reconstructs_zeta(chi1):
     # zeta(1/2 + it) = Z(t) e^{-i theta(t)}
     t = 35.2
-    got = numkit.hardy_z(t) * cmath.exp(-1j * numkit.riemann_siegel_theta(t))
+    got = numkit.hardy_z(t, chi1) * cmath.exp(-1j * numkit.l_theta(t, chi1))
     want = _mp(mpmath.zeta(0.5 + 1j * t))
     assert abs(got - want) < 1e-10
 
 
-def test_hardy_z_is_real_even():
-    assert abs(numkit.hardy_z(21.3) - numkit.hardy_z(-21.3)) < 1e-10
+def test_hardy_z_is_real_even(chi1):
+    assert abs(numkit.hardy_z(21.3, chi1) - numkit.hardy_z(-21.3, chi1)) < 1e-10
 
 
-def test_smoothed_zero_count_near_100():
+def test_smoothed_zero_count_near_100(chi1):
     # independent closed form: (t/2pi)(log(t/2pi) - 1) + 7/8 at t = 100
     t = 100.0
     want = t / (2 * math.pi) * (math.log(t / (2 * math.pi)) - 1) + 7 / 8
-    assert abs(numkit.smoothed_zero_count(t) - want) < 1e-3
+    assert abs(models.zero_count(chi1, t) - want) < 1e-3
 
 
 def _bessel_k_quad(nu: complex, x: float) -> complex:
@@ -138,21 +155,37 @@ def test_dirichlet_l_against_hurwitz_route(chi4):
     assert abs(numkit.dirichlet_l(s, chi4) - direct) < 1e-7
 
 
-def test_l_phase_split_real_section(chi4):
+def test_hardy_z_reconstructs_l_on_the_critical_line(chi4):
     for t in (0.0, 3.3, 12.7):
-        pair = numkit.l_phase_split(t, chi4)
-        assert abs(pair.z.imag) < 1e-9
-        # phase split reconstructs L on the critical line
-        want = numkit.dirichlet_l(0.5 + 1j * t, chi4)
-        got = pair.z * cmath.exp(-1j * pair.theta)
+        want = _mp(mpmath.dirichlet(0.5 + 1j * t, [0, 1, 0, -1]))
+        got = numkit.hardy_z(t, chi4) * cmath.exp(-1j * numkit.l_theta(t, chi4))
         assert abs(got - want) < 1e-9
 
 
 def test_functional_equation_phase_identity(chi4):
+    # eps_chi = 2 arg(i^-a tau(chi) / sqrt(q)), from the Gauss sum
+    eps = 2 * cmath.phase((1j) ** (-chi4.parity) * arith.gauss_sum(chi4))
     for t in (1.0, 7.5, 20.0):
         lhs = cmath.exp(2j * (numkit.l_theta(t, chi4) + numkit.l_theta(-t, chi4)))
-        rhs = cmath.exp(-1j * numkit.l_phase_split(t, chi4).eps_chi)
-        assert abs(lhs - rhs) < 1e-10
+        assert abs(lhs - cmath.exp(-1j * eps)) < 1e-10
+
+
+@pytest.mark.parametrize("q", range(3, 13))
+def test_hardy_z_is_real_for_every_primitive_character(q):
+    # the functional equation makes Z_chi real for even and odd, real and
+    # complex primitive chi alike: no imaginary residue reaches the warning
+    chars = [c for c in arith.characters_mod(q) if c.primitive]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyLossWarning)
+        for chi in chars:
+            for t in np.linspace(0.0, 60.0, 121):
+                numkit.hardy_z(float(t), chi)
+
+
+def test_theta_chi_refuses_imprimitive_characters():
+    principal4 = arith.characters_mod(4)[0]
+    with pytest.raises(DomainError, match="primitive"):
+        numkit.l_theta(5.0, principal4)
 
 
 # numkit.zeta is smooth to its last digits: 4th-order central differences of
@@ -174,14 +207,15 @@ def test_zeta_second_deriv_matches_mpmath(s):
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
-def test_hardy_z_deriv_sign_at_first_zero(E1):
+def test_hardy_z_deriv_sign_at_first_zero(E1, chi1):
     # Z rises through its first zero: mpmath's Z'(E1) > 0, matched by a
     # central difference of hardy_z
     want = float(mpmath.siegelz(E1, derivative=1))
     assert want > 0
     h = 1e-5
-    assert abs((numkit.hardy_z(E1 + h) - numkit.hardy_z(E1 - h)) / (2 * h) - want) < 1e-8
-    assert np.sign(numkit.hardy_z(E1 - 0.01)) < 0 < np.sign(numkit.hardy_z(E1 + 0.01))
+    z = lambda t: numkit.hardy_z(t, chi1)
+    assert abs((z(E1 + h) - z(E1 - h)) / (2 * h) - want) < 1e-8
+    assert np.sign(z(E1 - 0.01)) < 0 < np.sign(z(E1 + 0.01))
 
 
 def test_scan_roots_grid_zeros_and_brackets():

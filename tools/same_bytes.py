@@ -54,7 +54,11 @@ EXTRA = [
     *(f"zeros --modulus {q} --char-index {i} --emax 40"
       for q, indices in PRIMITIVE.items() for i in indices),
     *(f"theta-of-zero --modulus {q} --char-index 1 --grid 40" for q in (3, 4, 5, 7, 8)),
+    # the character mod 1 is zeta: its table is that of `zeros --emax 40`
     "zeros --modulus 1 --char-index 0 --emax 40",
+    "zeros --emax 40",
+    # count mode on a character whose first zero, 1.23, lies below zeta's t = 2
+    "theta-of-zero --modulus 11 --char-index 7 --grid 30",
     "mirror-paths --n 60",
     "mirror-paths --n 24 --max-depth 5",
     "mirror-paths --n 36 --format json",
